@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Competition, Corpus, Gender, Rank, Researcher
+from .corpus import Competition, Corpus, Gender, Rank
 from .errors import ConfigError, MissingScore
 from .scoring import ScoreTable
 from .stats import DesignMatrix
@@ -83,35 +83,55 @@ def filter_eligible(corpus: Corpus) -> EligibilityResult:
     return EligibilityResult(eligible=eligible, retained_competitions=retained)
 
 
-def _overlap_years(a: Researcher, b: Researcher,
-                   window: tuple[int, int], match_sds: bool) -> int:
-    count = 0
-    for year in range(window[0], window[1] + 1):
-        fa = a.affiliation_in(year)
-        fb = b.affiliation_in(year)
-        if fa is None or fb is None or fa[0] != fb[0]:
-            continue
-        if match_sds and fa[1] != fb[1]:
-            continue
-        count += 1
-    return count
+class _Index:
+    """Lookups shared by the competitions of one extraction call: surnames of
+    full professors by university (one pass over researchers per year), and
+    per-researcher affiliation timelines and publication ids in the window.
+    """
 
+    def __init__(self, corpus: Corpus, window: tuple[int, int] | None) -> None:
+        self.corpus = corpus
+        lo, hi = corpus.collaboration_window if window is None else window
+        self.years = range(lo, hi + 1)
+        self._names: dict[int, dict[str, set[str]]] = {}
+        self._timelines: dict[str, tuple[tuple[str, str] | None, ...]] = {}
+        self._pubs: dict[str, set[str]] = {}
 
-def _window_pub_ids(corpus: Corpus, researcher_id: str,
-                    window: tuple[int, int]) -> set[str]:
-    return {p.id for p in corpus.publications_by_author(researcher_id)
-            if window[0] <= p.year <= window[1]}
+    def full_professor_names(self, university: str, year: int) -> set[str]:
+        by_university = self._names.get(year)
+        if by_university is None:
+            by_university = self._names[year] = {}
+            for researcher in self.corpus.researchers.values():
+                if researcher.rank is not Rank.FULL:
+                    continue
+                affiliation = researcher.affiliation_in(year)
+                if affiliation is not None:
+                    by_university.setdefault(affiliation[0], set()).add(
+                        normalize_family_name(researcher.family_name))
+        return by_university.get(university, set())
 
+    def timeline(self, researcher_id: str) -> tuple[tuple[str, str] | None, ...]:
+        """(university, sds) per window year, None outside the career."""
+        line = self._timelines.get(researcher_id)
+        if line is None:
+            researcher = self.corpus.researchers[researcher_id]
+            line = self._timelines[researcher_id] = tuple(
+                researcher.affiliation_in(year) for year in self.years)
+        return line
 
-def _full_professor_names(corpus: Corpus, university: str, year: int) -> set[str]:
-    names = set()
-    for researcher in corpus.researchers.values():
-        if researcher.rank is not Rank.FULL:
-            continue
-        affiliation = researcher.affiliation_in(year)
-        if affiliation is not None and affiliation[0] == university:
-            names.add(normalize_family_name(researcher.family_name))
-    return names
+    def window_pub_ids(self, researcher_id: str) -> set[str]:
+        pubs = self._pubs.get(researcher_id)
+        if pubs is None:
+            pubs = self._pubs[researcher_id] = {
+                p.id for p in self.corpus.publications_by_author(researcher_id)
+                if p.year in self.years}
+        return pubs
+
+    def shared_years(self, a: str, b: str, match_sds: bool) -> int:
+        """Window years a and b spent at the same university (and SDS)."""
+        return sum(1 for fa, fb in zip(self.timeline(a), self.timeline(b))
+                   if fa is not None and fb is not None and fa[0] == fb[0]
+                   and (not match_sds or fa[1] == fb[1]))
 
 
 def extract_features(
@@ -121,26 +141,23 @@ def extract_features(
     window: tuple[int, int] | None = None,
     eligible: list[str] | None = None,
     match_sds: bool = True,
-    _name_cache: dict | None = None,
 ) -> list[ApplicantFeatures]:
     """Feature rows for one competition's eligible applicants, sorted by id."""
-    if window is None:
-        window = corpus.collaboration_window
     if eligible is None:
         eligible = [a for a in comp.applicants if _is_eligible(corpus, comp, a)]
+    return _competition_rows(comp, _Index(corpus, window), scores, eligible,
+                             match_sds)
 
-    cache_key = (comp.university_id, comp.year)
-    if _name_cache is not None and cache_key in _name_cache:
-        local_names = _name_cache[cache_key]
-    else:
-        local_names = _full_professor_names(corpus, comp.university_id, comp.year)
-        if _name_cache is not None:
-            _name_cache[cache_key] = local_names
 
+def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
+                      eligible: list[str], match_sds: bool
+                      ) -> list[ApplicantFeatures]:
+    corpus = index.corpus
+    local_names = index.full_professor_names(comp.university_id, comp.year)
     president = corpus.researchers[comp.president]
     members = [corpus.researchers[m] for m in comp.members]
-    president_pubs = _window_pub_ids(corpus, comp.president, window)
-    member_pubs = [_window_pub_ids(corpus, m.id, window) for m in members]
+    president_pubs = index.window_pub_ids(comp.president)
+    member_pubs = [index.window_pub_ids(m) for m in comp.members]
     committee_genders = [president.gender] + [m.gender for m in members]
     winner_set = set(comp.winners)
 
@@ -150,10 +167,10 @@ def extract_features(
         percentile = scores.percentile_of(rid)
         if percentile is None:
             raise MissingScore(f"applicant {rid} has no productivity score")
-        applicant_pubs = _window_pub_ids(corpus, rid, window)
+        applicant_pubs = index.window_pub_ids(rid)
 
-        cp = _overlap_years(applicant, president, window, match_sds)
-        ce = sum(_overlap_years(applicant, m, window, match_sds) for m in members)
+        cp = index.shared_years(rid, comp.president, match_sds)
+        ce = sum(index.shared_years(rid, m, match_sds) for m in comp.members)
         if president_pubs:
             pp = 100.0 * len(president_pubs & applicant_pubs) / len(president_pubs)
         else:
@@ -190,14 +207,12 @@ def extract_all(
     """Features for every competition's eligible applicants, in fixed order."""
     if eligibility is None:
         eligibility = filter_eligible(corpus)
-    name_cache: dict = {}
+    index = _Index(corpus, window)
     rows = []
     for comp_id in sorted(corpus.competitions):
-        comp = corpus.competitions[comp_id]
-        rows.extend(extract_features(
-            comp, corpus, scores, window,
-            eligible=eligibility.eligible[comp_id],
-            match_sds=match_sds, _name_cache=name_cache))
+        rows.extend(_competition_rows(
+            corpus.competitions[comp_id], index, scores,
+            eligibility.eligible[comp_id], match_sds))
     return rows
 
 

@@ -36,7 +36,8 @@ from .corpus import (
     write_corpus,
 )
 from .errors import InfeasibleConfig
-from .features import MIN_CAREER_YEARS, extract_features
+# extract_features stays bound: perfbench/tracer.py counts its calls from here
+from .features import MIN_CAREER_YEARS, extract_all, extract_features  # noqa: F401
 from .scoring import score_corpus
 
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
@@ -321,14 +322,18 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
             corpus.subject_categories[pub.subject_category_id] = SubjectCategory(
                 pub.subject_category_id)
 
-    # phase two: score the provisional corpus and select winners
+    # phase two: score the provisional corpus and select winners; extraction
+    # draws nothing from rng and reads no winners, so one extract_all serves all
     scores = score_corpus(corpus)
+    rows_by_comp: dict[str, list] = {}
+    for row in extract_all(corpus, scores):
+        rows_by_comp.setdefault(row.competition_id, []).append(row)
     truth = GroundTruth()
     w = cfg.weights
     k = cfg.winners_per_competition
     for comp_id in sorted(corpus.competitions):
         comp = corpus.competitions[comp_id]
-        rows = extract_features(comp, corpus, scores)
+        rows = rows_by_comp.get(comp_id, [])
         latent: dict[str, float] = {}
         for r in rows:
             noise = float(rng.normal(0.0, w.noise_sd)) if w.noise_sd > 0 else 0.0

@@ -1,6 +1,7 @@
 """Tests for the command line and the report rendering layer."""
 
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -12,7 +13,7 @@ from concorso.bias import detect_all
 from concorso.corpus import Corpus, load_corpus, write_corpus
 from concorso.cli import main, parse_window
 from concorso.errors import ConfigError
-from concorso.features import extract_all
+from concorso.features import extract_all, write_features
 from concorso.report import fmt, render_regression, regression_dict, stars
 from concorso.scoring import median_fss_by_sds, score_corpus
 
@@ -245,3 +246,31 @@ def test_merit_only_pipeline_winners_match_truth(tmp_path, capsys):
         comp = corpus.competitions[record["competition"]]
         assert comp.winners == record["merit_winners"]
         assert not record["injected"]
+
+
+# sha256 of `concorso gen --seed 1 --w-cp 6 --noise-sd 8` at the default
+# 5x40x6 scale, and of features.csv written by write_features(extract_all(...))
+# on that corpus, as produced before extraction moved to a per-call index.
+# They hold the generator's outputs byte for byte across refactors; a numpy
+# release that changes its Generator streams would move them too.
+GOLDEN_GEN_S = {
+    "competitions.jsonl": "2946f0d0f4d00cbad029a1c0f04864796602fb206d338e36eee3b281d1351e6e",
+    "ground_truth.jsonl": "c382fcfebe7fcd6607313db6513af6983c163789ec39d9e45c0dc9f930b8746d",
+    "publications.jsonl": "223bf1cac7d7ce6b2412614ef416d8cbf2932f0cd4b5be2e3d84f79ea2104b34",
+    "researchers.csv": "56c7da1c0072ca66ed4e02d3bd055f238121ac94a534ecd81b171d142633eb5d",
+    "taxonomy.csv": "8dbdf405dc88a428110be928e4cbf621a829e5e2168e993f4bac6d7ec6626850",
+    "features.csv": "65b614ca330f7fd38751be9952566c4ab283b55b6170a6ee3def35e7aaab1375",
+}
+
+
+def test_gen_and_features_golden_hashes(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    assert run_gen(corpus_dir, "--seed", "1", "--w-cp", "6", "--noise-sd", "8",
+                   small=False) == 0
+    corpus = load_corpus(corpus_dir)
+    write_features(extract_all(corpus, score_corpus(corpus)),
+                   corpus_dir / "features.csv")
+    digests = {name: hashlib.sha256((corpus_dir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_GEN_S}
+    assert digests == GOLDEN_GEN_S
+    assert sorted(p.name for p in corpus_dir.iterdir()) == sorted(GOLDEN_GEN_S)

@@ -1,7 +1,11 @@
 """Eligibility filtering and applicant feature extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concorso.corpus import (
     BylineEntry,
@@ -24,6 +28,7 @@ from concorso.features import (
     write_features,
 )
 from concorso.scoring import ProductivityScore, ScoreTable
+from concorso.synthgen import GenConfig, generate
 
 F, M = Gender.FEMALE, Gender.MALE
 
@@ -394,3 +399,147 @@ def test_build_design_rejects_bad_config():
         build_design(rows, base_columns=["G", "XX"])
     with pytest.raises(ConfigError):
         build_design(rows, base_columns=["FSS"], interactions=True)
+
+
+# --- indexed extraction against a brute-force reference ---------------------
+
+def reference_overlap_years(a, b, window, match_sds):
+    """Per-year recount, as extraction did before the per-call index."""
+    count = 0
+    for year in range(window[0], window[1] + 1):
+        fa = a.affiliation_in(year)
+        fb = b.affiliation_in(year)
+        if fa is None or fb is None or fa[0] != fb[0]:
+            continue
+        if match_sds and fa[1] != fb[1]:
+            continue
+        count += 1
+    return count
+
+
+def reference_full_professor_names(corpus, university, year):
+    """Full scan of the roster for one competition."""
+    names = set()
+    for r in corpus.researchers.values():
+        if r.rank is not Rank.FULL:
+            continue
+        affiliation = r.affiliation_in(year)
+        if affiliation is not None and affiliation[0] == university:
+            names.add(normalize_family_name(r.family_name))
+    return names
+
+
+def reference_rows(corpus, window, match_sds):
+    """(competition, applicant, NE, CP, CE, PP, PE) for every eligible row."""
+    def pub_ids(rid):
+        return {p.id for p in corpus.publications.values()
+                if window[0] <= p.year <= window[1]
+                and any(e.author == rid for e in p.byline)}
+
+    rows = []
+    eligibility = filter_eligible(corpus)
+    for comp_id in sorted(corpus.competitions):
+        comp = corpus.competitions[comp_id]
+        names = reference_full_professor_names(corpus, comp.university_id,
+                                               comp.year)
+        president = corpus.researchers[comp.president]
+        members = [corpus.researchers[m] for m in comp.members]
+        president_pubs = pub_ids(comp.president)
+        for rid in sorted(set(eligibility.eligible[comp_id])):
+            a = corpus.researchers[rid]
+            a_pubs = pub_ids(rid)
+            pp = (100.0 * len(president_pubs & a_pubs) / len(president_pubs)
+                  if president_pubs else 0.0)
+            rows.append((
+                comp_id, rid,
+                int(normalize_family_name(a.family_name) in names),
+                reference_overlap_years(a, president, window, match_sds),
+                sum(reference_overlap_years(a, m, window, match_sds)
+                    for m in members),
+                pp,
+                sum(1 for m in comp.members if pub_ids(m) & a_pubs)))
+    return rows
+
+
+def indexed_rows(rows):
+    return [(r.competition_id, r.researcher_id, r.surname_match,
+             r.years_with_president, r.years_with_members,
+             r.president_coauth_share, r.coauthoring_members) for r in rows]
+
+
+def assert_index_matches_reference(corpus, window):
+    scores = default_scores(corpus)
+    for match_sds in (True, False):
+        rows = extract_all(corpus, scores, window=window, match_sds=match_sds)
+        assert indexed_rows(rows) == reference_rows(corpus, window, match_sds)
+        # the single-competition entry point builds its own index
+        single = [row for cid in sorted(corpus.competitions)
+                  for row in extract_features(corpus.competitions[cid], corpus,
+                                              scores, window=window,
+                                              match_sds=match_sds)]
+        assert single == rows
+
+
+def test_index_hand_fixture_career_end_and_years():
+    # m1 leaves the profession in 2005; the namesake full professor in 2007
+    rows = [researcher("pr", gender=M, rank=Rank.FULL, start=1990),
+            researcher("m1", gender=M, rank=Rank.FULL, start=1990, end=2005),
+            researcher("m2", gender=M, uni="UB", rank=Rank.FULL, start=1990),
+            researcher("m3", gender=M, uni="UB", rank=Rank.FULL, start=1990),
+            researcher("m4", gender=M, uni="UB", rank=Rank.FULL, start=1990,
+                       moves=[(2004, "UA", "S2"), (2005, "UA", "S1")]),
+            researcher("fp", name="Neri", rank=Rank.FULL, start=1980, end=2007),
+            researcher("a1", name="Neri"),
+            researcher("a2", start=2000, moves=[(2009, "UB", "S1")])]
+    comps = [competition(["a1", "a2"], ["a1"], year=2006, cid="c1"),
+             competition(["a1", "a2"], ["a2"], year=2009, cid="c2")]
+    corpus = make_corpus(rows, competitions=comps, extra_sds=("S2",))
+    feats = {(f.competition_id, f.researcher_id): f
+             for f in extract_all(corpus, default_scores(corpus))}
+    # the namesake counts while employed at UA, not after the career ends
+    assert feats["c1", "a1"].surname_match == 1
+    assert feats["c2", "a1"].surname_match == 0
+    assert feats["c1", "a1"].years_with_president == 10
+    # m1 shares 2001-2005; m4 shares 2005 only (S2 in 2004 under match_sds)
+    assert feats["c1", "a1"].years_with_members == 6
+    assert feats["c2", "a2"].years_with_president == 9  # at UB in 2009
+    loose = {(f.competition_id, f.researcher_id): f for f in extract_all(
+        corpus, default_scores(corpus), match_sds=False)}
+    assert loose["c1", "a1"].years_with_members == 7
+    for window in ((2001, 2010), (1995, 2020)):
+        assert_index_matches_reference(corpus, window)
+
+
+def perturb(corpus, rng, years):
+    """Random career ends, cross-SDS overrides and competition years, so that
+    the index meets more than the generator's single year and SDS."""
+    universities = sorted({r.university_id for r in corpus.researchers.values()})
+    sds_ids = sorted(corpus.taxonomy)
+    for rid, r in list(corpus.researchers.items()):
+        if rng.random() < 0.2:
+            r = replace(r, career_end_year=int(rng.integers(1998, 2012)))
+        if rng.random() < 0.3:
+            overrides = {int(y): (universities[int(rng.integers(len(universities)))],
+                                  sds_ids[int(rng.integers(len(sds_ids)))])
+                         for y in rng.integers(1995, 2016, size=4)}
+            r = replace(r, affiliations=tuple(
+                (y, uni, sds) for y, (uni, sds) in sorted(overrides.items())))
+        corpus.researchers[rid] = r
+    for comp in corpus.competitions.values():
+        comp.year = int(rng.choice(years))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       lo=st.integers(1995, 2008),
+       length=st.integers(0, 15),
+       years=st.lists(st.integers(2006, 2011), min_size=1, max_size=3))
+def test_index_matches_reference_on_generated_corpora(seed, lo, length, years):
+    cfg = GenConfig(seed=seed, n_sds=2, n_universities=3, researchers_per_sds=14,
+                    competitions_per_sds=3, applicants_per_competition=6,
+                    mobility_rate=1.0)
+    corpus, _ = generate(cfg)
+    window = (lo, lo + length)  # may run past corpus.year_range (2001-2010)
+    assert_index_matches_reference(corpus, window)
+    perturb(corpus, np.random.default_rng(seed), years)
+    assert_index_matches_reference(corpus, window)

@@ -1,6 +1,8 @@
 """Statistical primitives against independent oracles."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from concorso.errors import (
 )
 from concorso.stats import (
     DesignMatrix,
+    _chi2_sf,
     bonferroni,
     fit_logit,
     pearson,
@@ -372,3 +375,57 @@ def test_vif_matches_inverse_correlation_oracle():
     for name, expected in zip(["a", "b", "c"], oracle):
         assert abs(factors[name] - expected) < 1e-10
     assert abs(average - oracle.mean()) < 1e-10
+
+
+# --- tail probabilities without scipy.stats ----------------------------------
+
+def test_tail_probabilities_equal_scipy_stats_exactly():
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    rng = np.random.default_rng(211)
+    for _ in range(300):
+        n = int(rng.integers(3, 30))
+        a = rng.normal(rng.normal(0, 2), rng.uniform(0.1, 3), n)
+        b = rng.normal(0.0, rng.uniform(0.1, 3), int(rng.integers(2, 30)))
+        results = [pearson(a, rng.normal() * a + rng.normal(size=n))]
+        if rng.random() < 0.1:
+            a[0] = math.nan  # NaN statistic, and NaN df under Welch
+        results += [two_sample_t(a, b), two_sample_t(a, b, pooled=False)]
+        for res in results:
+            t, df = res.statistic, res.df
+            assert same(res.p_one_sided, float(scipy.stats.t.sf(t, df)))
+            assert same(res.p_two_sided,
+                        min(1.0, float(2.0 * scipy.stats.t.sf(abs(t), df))))
+    # infinite statistics, and Welch's non-integer df
+    for res in (two_sample_t([3.0, 3.0], [1.0, 1.0]),
+                two_sample_t([1.0, 1.0], [3.0, 3.0, 3.0], pooled=False),
+                pearson([1, 2, 3, 4], [2, 4, 6, 8]),
+                pearson([1, 2, 3, 4], [8, 6, 4, 2]),
+                two_sample_t([1.0, 2.0, 4.0], [0.5, 9.0, -3.0, 2.0], pooled=False)):
+        t, df = res.statistic, res.df
+        assert res.p_one_sided == float(scipy.stats.t.sf(t, df))
+        assert res.p_two_sided == min(1.0, float(2.0 * scipy.stats.t.sf(abs(t), df)))
+
+    grid = list(rng.exponential(10.0, size=500)) + [
+        -5.0, -1e-12, -0.0, 0.0, 1e-300, 1.0, 1e3, math.inf, math.nan]
+    for x in grid:
+        for k in (1, 2, 7, 17):
+            assert same(_chi2_sf(float(x), k), float(scipy.stats.chi2.sf(x, k)))
+
+    for seed in range(5):
+        rng = np.random.default_rng(300 + seed)
+        X, y, clusters = logit_sample(rng, 300, [-0.2, 0.6, -0.4], cluster_size=6)
+        result = fit_logit(make_design(X, y, clusters))
+        for c in result.coefficients:
+            assert c.p == min(1.0, float(2.0 * scipy.stats.norm.sf(abs(c.z))))
+        assert result.wald_p == float(scipy.stats.chi2.sf(result.wald_chi2, 2))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, concorso; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -42,7 +42,13 @@ from .report import (
     render_descriptives,
     render_regression,
 )
-from .scoring import median_fss_by_sds, score_corpus, write_score_meta, write_scores
+from .scoring import (
+    ScoreTable,
+    median_fss_by_sds,
+    score_corpus,
+    write_score_meta,
+    write_scores,
+)
 from .stats import fit_logit
 from .synthgen import GenConfig, LatentWeights, generate_to_dir
 
@@ -56,8 +62,6 @@ class RunConfig:
     threshold: float = DEFAULT_THRESHOLD
     one_sided: bool = False
     welch: bool = False
-    clusters: str = "competition"
-    seed: int = 0
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -88,8 +92,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         cfg.threshold = args.threshold
     cfg.one_sided = getattr(args, "one_sided", False)
     cfg.welch = getattr(args, "welch", False)
-    cfg.clusters = getattr(args, "clusters", "competition")
-    cfg.seed = getattr(args, "seed", 0)
     return cfg
 
 
@@ -126,7 +128,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                             pp=args.w_pp, ne=args.w_ne, sp=args.w_sp,
                             noise_sd=args.noise_sd)
     gen_cfg = GenConfig(
-        seed=cfg.seed,
+        seed=args.seed,
         n_sds=args.n_sds,
         n_universities=args.n_universities,
         researchers_per_sds=args.researchers_per_sds,
@@ -151,10 +153,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    corpus = _load(cfg)
-    table = score_corpus(corpus, cfg.productivity_window)
+def _write_score_stage(cfg: RunConfig, corpus: Corpus, table: ScoreTable) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_scores(table, corpus, cfg.out_dir / "scores.csv")
     write_score_meta(table, corpus, cfg.out_dir / "score_meta.json")
@@ -162,22 +161,15 @@ def cmd_score(args: argparse.Namespace) -> int:
           f"{cfg.productivity_window[0]}:{cfg.productivity_window[1]} "
           f"({len(table.skipped)} skipped, no career overlap) "
           f"-> {cfg.out_dir / 'scores.csv'}")
-    return 0
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    corpus = _load(cfg)
-    table = score_corpus(corpus, cfg.productivity_window)
-    eligibility = filter_eligible(corpus)
-    rows = extract_all(corpus, table, window=cfg.collaboration_window,
-                       eligibility=eligibility)
-    retained = set(eligibility.retained_competitions)
-    audit_rows = [r for r in rows if r.competition_id in retained]
+def _write_audit_stage(cfg: RunConfig, corpus: Corpus, table: ScoreTable,
+                       rows, retained: list[str]) -> None:
+    kept = set(retained)
+    audit_rows = [r for r in rows if r.competition_id in kept]
     medians = median_fss_by_sds(table, corpus)
     findings = detect_all(audit_rows, corpus, medians,
-                          threshold=cfg.threshold,
-                          retained=eligibility.retained_competitions)
+                          threshold=cfg.threshold, retained=retained)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_findings(findings, cfg.out_dir / "findings.csv")
     for kind, stem in ((BiasKind.NEGATIVE, "bias_negative"),
@@ -188,22 +180,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
         _write_json(twin, cfg.out_dir / f"{stem}.json")
         _write_text(render_bias_table(twin, one_sided=cfg.one_sided),
                     cfg.out_dir / f"{stem}.txt")
-    if not eligibility.retained_competitions:
+    if not retained:
         print("warning: no competition retained an eligible winner and "
               "non-winner; tables are empty", file=sys.stderr)
     n_neg = sum(1 for f in findings if f.kind is BiasKind.NEGATIVE)
     n_pos = sum(1 for f in findings if f.kind is BiasKind.POSITIVE)
-    print(f"audited {len(eligibility.retained_competitions)} competitions "
+    print(f"audited {len(retained)} competitions "
           f"at threshold {cfg.threshold:g}: {n_neg} negative and "
           f"{n_pos} positive findings -> {cfg.out_dir / 'findings.csv'}")
-    return 0
 
 
-def cmd_regress(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    corpus = _load(cfg)
-    table = score_corpus(corpus, cfg.productivity_window)
-    rows = extract_all(corpus, table, window=cfg.collaboration_window)
+def _write_regress_stage(cfg: RunConfig, rows) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_features(rows, cfg.out_dir / "features.csv")
 
@@ -224,14 +211,30 @@ def cmd_regress(args: argparse.Namespace) -> int:
           f"{result.n_clusters} competition clusters "
           f"(log likelihood {result.log_likelihood:.4f}) "
           f"-> {cfg.out_dir / 'regression.txt'}")
-    return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    for step in (cmd_score, cmd_audit, cmd_regress):
-        code = step(args)
-        if code != 0:
-            return code
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    """score, audit, regress, or all three for report, in one pass: the
+    corpus is loaded and scored once, and the feature rows that audit and
+    regress share are extracted once.
+    """
+    cfg = _run_config(args)
+    stages = (("score", "audit", "regress") if args.command == "report"
+              else (args.command,))
+    corpus = _load(cfg)
+    table = score_corpus(corpus, cfg.productivity_window)
+    if "score" in stages:
+        _write_score_stage(cfg, corpus, table)
+    if stages == ("score",):
+        return 0
+    eligibility = filter_eligible(corpus)
+    rows = extract_all(corpus, table, window=cfg.collaboration_window,
+                       eligibility=eligibility)
+    if "audit" in stages:
+        _write_audit_stage(cfg, corpus, table, rows,
+                           eligibility.retained_competitions)
+    if "regress" in stages:
+        _write_regress_stage(cfg, rows)
     return 0
 
 
@@ -288,32 +291,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-dir", required=True)
     p.add_argument("--out-dir", required=True)
     _add_window_flags(p)
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("audit", help="detect bias in competition outcomes")
     p.add_argument("--input-dir", required=True)
     p.add_argument("--out-dir", required=True)
     _add_window_flags(p)
     _add_audit_flags(p)
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("regress", help="fit the outcome model")
     p.add_argument("--input-dir", required=True)
     p.add_argument("--out-dir", required=True)
     _add_window_flags(p)
-    p.add_argument("--clusters", choices=["competition"],
-                   default="competition",
-                   help="cluster variable for robust standard errors")
-    p.set_defaults(func=cmd_regress)
+    p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("report", help="run score, audit, and regress")
+    p = sub.add_parser("report", help="run score, audit, and regress in one pass")
     p.add_argument("--input-dir", required=True)
     p.add_argument("--out-dir", required=True)
     _add_window_flags(p)
     _add_audit_flags(p)
-    p.add_argument("--clusters", choices=["competition"],
-                   default="competition")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_pipeline)
 
     return parser
 

@@ -64,12 +64,6 @@ class Convention(str, Enum):
 
 
 @dataclass
-class SubjectCategory:
-    id: str
-    description: str = ""
-
-
-@dataclass
 class SdsRecord:
     """One fine-grained field (SDS) with its discipline (UDA) and convention."""
 
@@ -157,7 +151,6 @@ class Corpus:
     publications: dict[str, Publication] = field(default_factory=dict)
     competitions: dict[str, Competition] = field(default_factory=dict)
     taxonomy: dict[str, SdsRecord] = field(default_factory=dict)
-    subject_categories: dict[str, SubjectCategory] = field(default_factory=dict)
     productivity_window: tuple[int, int] = DEFAULT_PRODUCTIVITY_WINDOW
     collaboration_window: tuple[int, int] = DEFAULT_COLLABORATION_WINDOW
     _pubs_by_author: dict[str, list[Publication]] | None = field(
@@ -444,17 +437,11 @@ def load_corpus(
     if dangling:
         raise DanglingReference(dangling)
 
-    categories = {}
-    for pub in publications.values():
-        if pub.subject_category_id not in categories:
-            categories[pub.subject_category_id] = SubjectCategory(pub.subject_category_id)
-
     return Corpus(
         researchers=researchers,
         publications=publications,
         competitions=competitions,
         taxonomy=taxonomy,
-        subject_categories=categories,
         productivity_window=productivity_window,
         collaboration_window=collaboration_window,
     )

@@ -6,7 +6,8 @@ audit and the outcome regression: productivity percentile, a surname match
 against full professors of the hiring university, career-year co-location
 with the committee president and with the other members, coauthorship with
 the president and members inside the collaboration window, and gender
-matches with the president and the committee majority.
+matches with the president and the committee majority. Co-location (CP/CE)
+counts a year only when both were at the same university in the same SDS.
 """
 
 from __future__ import annotations
@@ -127,11 +128,10 @@ class _Index:
                 if p.year in self.years}
         return pubs
 
-    def shared_years(self, a: str, b: str, match_sds: bool) -> int:
-        """Window years a and b spent at the same university (and SDS)."""
+    def shared_years(self, a: str, b: str) -> int:
+        """Window years a and b spent at the same university and SDS."""
         return sum(1 for fa, fb in zip(self.timeline(a), self.timeline(b))
-                   if fa is not None and fb is not None and fa[0] == fb[0]
-                   and (not match_sds or fa[1] == fb[1]))
+                   if fa is not None and fa == fb)
 
 
 def extract_features(
@@ -140,18 +140,15 @@ def extract_features(
     scores: ScoreTable,
     window: tuple[int, int] | None = None,
     eligible: list[str] | None = None,
-    match_sds: bool = True,
 ) -> list[ApplicantFeatures]:
     """Feature rows for one competition's eligible applicants, sorted by id."""
     if eligible is None:
         eligible = [a for a in comp.applicants if _is_eligible(corpus, comp, a)]
-    return _competition_rows(comp, _Index(corpus, window), scores, eligible,
-                             match_sds)
+    return _competition_rows(comp, _Index(corpus, window), scores, eligible)
 
 
 def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
-                      eligible: list[str], match_sds: bool
-                      ) -> list[ApplicantFeatures]:
+                      eligible: list[str]) -> list[ApplicantFeatures]:
     corpus = index.corpus
     local_names = index.full_professor_names(comp.university_id, comp.year)
     president = corpus.researchers[comp.president]
@@ -169,8 +166,8 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
             raise MissingScore(f"applicant {rid} has no productivity score")
         applicant_pubs = index.window_pub_ids(rid)
 
-        cp = index.shared_years(rid, comp.president, match_sds)
-        ce = sum(index.shared_years(rid, m, match_sds) for m in comp.members)
+        cp = index.shared_years(rid, comp.president)
+        ce = sum(index.shared_years(rid, m) for m in comp.members)
         if president_pubs:
             pp = 100.0 * len(president_pubs & applicant_pubs) / len(president_pubs)
         else:
@@ -201,7 +198,6 @@ def extract_all(
     corpus: Corpus,
     scores: ScoreTable,
     window: tuple[int, int] | None = None,
-    match_sds: bool = True,
     eligibility: EligibilityResult | None = None,
 ) -> list[ApplicantFeatures]:
     """Features for every competition's eligible applicants, in fixed order."""
@@ -212,7 +208,7 @@ def extract_all(
     for comp_id in sorted(corpus.competitions):
         rows.extend(_competition_rows(
             corpus.competitions[comp_id], index, scores,
-            eligibility.eligible[comp_id], match_sds))
+            eligibility.eligible[comp_id]))
     return rows
 
 

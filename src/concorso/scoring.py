@@ -80,7 +80,6 @@ def publication_weights(
     byline,
     convention: Convention,
     focal_university: str | None = None,
-    residual_mode: str = "collapse",
 ) -> list[float]:
     """Fractional contribution of every byline position; sums to 1.
 
@@ -89,9 +88,8 @@ def publication_weights(
     a university (middle authors split 0.20), or 0.30 each otherwise with
     0.15 for the second and second-to-last and 0.10 split among the rest.
     Short bylines where the positional slots overlap or leave nobody to take
-    the residual share are closed per ``residual_mode``: "collapse" hands
-    the residual to the inner slots (3 authors → 0.30/0.40/0.30, 4 authors
-    → 0.30/0.20/0.20/0.30), "renormalize" rescales the slot weights to 1.
+    the residual share collapse it onto the inner slots (3 authors →
+    0.30/0.40/0.30, 4 authors → 0.30/0.20/0.20/0.30).
     Byline entries with no recorded affiliation count as ``focal_university``
     when one is given and as extra-mural otherwise.
     """
@@ -126,9 +124,6 @@ def publication_weights(
         share = OTHERS_SHARE_DIFF_UNI / len(others)
         for i in others:
             weights[i] += share
-    elif residual_mode == "renormalize":
-        total = sum(weights)
-        weights = [w / total for w in weights]
     else:
         # nobody between the inner slots: hand them the residual share
         inner = sorted({1, n - 2})
@@ -142,11 +137,10 @@ def fractional_contribution(
     position: int,
     convention: Convention,
     focal_university: str | None = None,
-    residual_mode: str = "collapse",
 ) -> float:
     if not 0 <= position < len(byline):
         raise InvalidByline(f"position {position} outside byline of size {len(byline)}")
-    return publication_weights(byline, convention, focal_university, residual_mode)[position]
+    return publication_weights(byline, convention, focal_university)[position]
 
 
 def compute_fss(

@@ -32,7 +32,6 @@ from .corpus import (
     Rank,
     Researcher,
     SdsRecord,
-    SubjectCategory,
     write_corpus,
 )
 from .errors import InfeasibleConfig
@@ -316,11 +315,6 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                 id=comp_id, sds_id=sds_id, university_id=comp_uni,
                 year=cfg.competition_year, president=president,
                 members=members, applicants=sorted(applicants), winners=[])
-
-    for pub in corpus.publications.values():
-        if pub.subject_category_id not in corpus.subject_categories:
-            corpus.subject_categories[pub.subject_category_id] = SubjectCategory(
-                pub.subject_category_id)
 
     # phase two: score the provisional corpus and select winners; extraction
     # draws nothing from rng and reads no winners, so one extract_all serves all

@@ -11,6 +11,7 @@ import pytest
 
 from concorso.bias import detect_all
 from concorso.corpus import Corpus, load_corpus, write_corpus
+from concorso import cli
 from concorso.cli import main, parse_window
 from concorso.errors import ConfigError
 from concorso.features import extract_all, write_features
@@ -104,6 +105,24 @@ def test_all_male_corpus_is_rank_deficient(tmp_path, capsys):
     assert "RankDeficient" in err
 
 
+def test_report_fit_failure_exits_2_after_score_and_audit(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    assert run_gen(corpus_dir, "--seed", "2", "--female-share", "0") == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    code = main(["report", "--input-dir", str(corpus_dir),
+                 "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RankDeficient" in captured.err
+    assert captured.out.startswith("scored ")
+    assert "audited " in captured.out
+    assert "fitted " not in captured.out
+    written = {p.name for p in out_dir.iterdir()}
+    assert {"scores.csv", "findings.csv", "bias_positive.txt"} <= written
+    assert "regression.json" not in written
+
+
 def test_infeasible_generator_config(tmp_path, capsys):
     code = main(["gen", "--out-dir", str(tmp_path / "x"),
                  "--researchers-per-sds", "0"])
@@ -120,6 +139,9 @@ def test_bad_flags_exit_config(tmp_path, capsys):
                  "--out-dir", str(tmp_path), "--window-fss", "bogus"]) == 3
     assert main(["audit", "--input-dir", str(tmp_path),
                  "--out-dir", str(tmp_path), "--threshold", "0"]) == 3
+    for command in ("regress", "report"):  # clustering is always by competition
+        assert main([command, "--input-dir", str(tmp_path),
+                     "--out-dir", str(tmp_path), "--clusters", "competition"]) == 3
     capsys.readouterr()
 
 
@@ -262,15 +284,84 @@ GOLDEN_GEN_S = {
     "features.csv": "65b614ca330f7fd38751be9952566c4ab283b55b6170a6ee3def35e7aaab1375",
 }
 
+# sha256 of the 14 `concorso report` outputs on that corpus, as produced when
+# report still ran score, audit and regress as three separate passes.
+GOLDEN_REPORT_S = {
+    "bias_negative.json": "2b0f312312790d65b5c731f8d8410897172648a151e086f0b3f3c41f52d6713f",
+    "bias_negative.txt": "b5d311b370e67f3c8e7d173ec7cfc342dd266d2cbf7b742119cc11b001084b6c",
+    "bias_positive.json": "a9f73b2952106f963813f7962e74ee174fcb91097014bf8e2176d28ccdcb2607",
+    "bias_positive.txt": "4a2a589929243504f27e260503468b5533d41e4c3430d4c09cfbf9d37b6e1161",
+    "correlations.json": "872eeedb102a71556a8741650a72289d53f3c102fd4533bac8069477a44913be",
+    "correlations.txt": "738e0e387058ebc16d3bf5f9378bb2e25a4d7c23b77b8a74956de86133a70703",
+    "descriptives.json": "2fd74869d46f0c0f76eb663df1a386089cd56800e265e60e11deca27e7a74e7e",
+    "descriptives.txt": "2c48c7e3c553e118c64ec50e1a2ba7f9869624c9279c436f0ca74743c201b771",
+    "features.csv": "65b614ca330f7fd38751be9952566c4ab283b55b6170a6ee3def35e7aaab1375",
+    "findings.csv": "e79c1a346b70f41120460de577abca588eecdc9c50b8e5cd0ba9836261469328",
+    "regression.json": "e752c4d35b7ad2d18604cd93f63906beed54b15b2bd97ac283cd3a01c71588a2",
+    "regression.txt": "e2b1c88e72685095e3c46f0b7bd1fa5cfe17ac4f76d0d3037767fda7299a6ccb",
+    "score_meta.json": "295baa72988d611762c3c0dd3c636b196214df53aefcefa1f65ce3b6f2d86f57",
+    "scores.csv": "a1709c3e1e6ea6beaebd697d88fb56db43674140fd093c0cefb6e9557fec6df5",
+}
 
-def test_gen_and_features_golden_hashes(tmp_path, capsys):
-    corpus_dir = tmp_path / "corpus"
+
+def digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def golden_corpus(tmp_path_factory):
+    """The seed-1 corpus at the default 5x40x6 scale, generated once."""
+    corpus_dir = tmp_path_factory.mktemp("golden") / "corpus"
     assert run_gen(corpus_dir, "--seed", "1", "--w-cp", "6", "--noise-sd", "8",
                    small=False) == 0
-    corpus = load_corpus(corpus_dir)
+    return corpus_dir
+
+
+def test_gen_and_features_golden_hashes(golden_corpus, tmp_path, capsys):
+    corpus = load_corpus(golden_corpus)
     write_features(extract_all(corpus, score_corpus(corpus)),
-                   corpus_dir / "features.csv")
-    digests = {name: hashlib.sha256((corpus_dir / name).read_bytes()).hexdigest()
-               for name in GOLDEN_GEN_S}
-    assert digests == GOLDEN_GEN_S
-    assert sorted(p.name for p in corpus_dir.iterdir()) == sorted(GOLDEN_GEN_S)
+                   tmp_path / "features.csv")
+    assert digests(golden_corpus) | digests(tmp_path) == GOLDEN_GEN_S
+
+
+def test_report_golden_hashes(golden_corpus, tmp_path, capsys):
+    assert main(["report", "--input-dir", str(golden_corpus),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert digests(tmp_path) == GOLDEN_REPORT_S
+
+
+def test_stages_one_by_one_equal_report(golden_corpus, tmp_path, capsys):
+    stages_dir, report_dir = tmp_path / "stages", tmp_path / "report"
+    for stage in ("score", "audit", "regress"):
+        assert main([stage, "--input-dir", str(golden_corpus),
+                     "--out-dir", str(stages_dir)]) == 0
+    stage_lines = capsys.readouterr().out.replace(str(stages_dir), "OUT")
+    assert main(["report", "--input-dir", str(golden_corpus),
+                 "--out-dir", str(report_dir)]) == 0
+    report_lines = capsys.readouterr().out.replace(str(report_dir), "OUT")
+    assert report_lines == stage_lines
+    assert len(report_lines.splitlines()) == 3
+    assert digests(stages_dir) == digests(report_dir)
+
+
+def test_one_load_score_extract_per_run(golden_corpus, tmp_path, monkeypatch,
+                                        capsys):
+    counted = ("load_corpus", "score_corpus", "extract_all")
+    calls = dict.fromkeys(counted, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for command, extractions in (("report", 1), ("score", 0), ("audit", 1),
+                                 ("regress", 1)):
+        calls.update(dict.fromkeys(counted, 0))
+        assert main([command, "--input-dir", str(golden_corpus),
+                     "--out-dir", str(tmp_path / command)]) == 0
+        assert calls == {"load_corpus": 1, "score_corpus": 1,
+                         "extract_all": extractions}, command

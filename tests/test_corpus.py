@@ -93,7 +93,6 @@ def test_hand_fixture_field_by_field(tmp_path):
 
     assert corpus.taxonomy["MAT-05"] == SdsRecord("MAT-05", "09", Convention.ALPHABETICAL)
     assert corpus.taxonomy["FIS-01"].convention is Convention.CONTRIBUTION
-    assert sorted(corpus.subject_categories) == ["SC1", "SC2"]
     assert validate_corpus(corpus).ok
 
 
@@ -365,6 +364,4 @@ def test_round_trip_random_corpora(tmp_path):
         out = tmp_path / f"trial{trial}"
         write_corpus(corpus, out)
         reloaded = load_corpus(out)
-        # subject_categories is derived on load, not serialized
-        corpus.subject_categories = reloaded.subject_categories
         assert reloaded == corpus

@@ -193,14 +193,13 @@ def test_affiliation_moves_change_overlap():
     assert feats[0].years_with_president == 5
 
 
-def test_match_sds_flag():
+def test_cp_counts_only_years_in_the_same_sds():
+    # same university as the president for all ten years, but another SDS
     rows = committee() + [researcher("a1", sds="S2")]
     comp = competition(["a1"], [])
     corpus = make_corpus(rows, competitions=[comp], extra_sds=("S2",))
-    strict = extract_features(comp, corpus, default_scores(corpus))
-    loose = extract_features(comp, corpus, default_scores(corpus), match_sds=False)
-    assert strict[0].years_with_president == 0
-    assert loose[0].years_with_president == 10
+    feats = extract_features(comp, corpus, default_scores(corpus))
+    assert feats[0].years_with_president == 0
 
 
 def pub(pid, year, authors):
@@ -403,7 +402,7 @@ def test_build_design_rejects_bad_config():
 
 # --- indexed extraction against a brute-force reference ---------------------
 
-def reference_overlap_years(a, b, window, match_sds):
+def reference_overlap_years(a, b, window):
     """Per-year recount, as extraction did before the per-call index."""
     count = 0
     for year in range(window[0], window[1] + 1):
@@ -411,7 +410,7 @@ def reference_overlap_years(a, b, window, match_sds):
         fb = b.affiliation_in(year)
         if fa is None or fb is None or fa[0] != fb[0]:
             continue
-        if match_sds and fa[1] != fb[1]:
+        if fa[1] != fb[1]:
             continue
         count += 1
     return count
@@ -429,7 +428,7 @@ def reference_full_professor_names(corpus, university, year):
     return names
 
 
-def reference_rows(corpus, window, match_sds):
+def reference_rows(corpus, window):
     """(competition, applicant, NE, CP, CE, PP, PE) for every eligible row."""
     def pub_ids(rid):
         return {p.id for p in corpus.publications.values()
@@ -453,9 +452,8 @@ def reference_rows(corpus, window, match_sds):
             rows.append((
                 comp_id, rid,
                 int(normalize_family_name(a.family_name) in names),
-                reference_overlap_years(a, president, window, match_sds),
-                sum(reference_overlap_years(a, m, window, match_sds)
-                    for m in members),
+                reference_overlap_years(a, president, window),
+                sum(reference_overlap_years(a, m, window) for m in members),
                 pp,
                 sum(1 for m in comp.members if pub_ids(m) & a_pubs)))
     return rows
@@ -469,15 +467,13 @@ def indexed_rows(rows):
 
 def assert_index_matches_reference(corpus, window):
     scores = default_scores(corpus)
-    for match_sds in (True, False):
-        rows = extract_all(corpus, scores, window=window, match_sds=match_sds)
-        assert indexed_rows(rows) == reference_rows(corpus, window, match_sds)
-        # the single-competition entry point builds its own index
-        single = [row for cid in sorted(corpus.competitions)
-                  for row in extract_features(corpus.competitions[cid], corpus,
-                                              scores, window=window,
-                                              match_sds=match_sds)]
-        assert single == rows
+    rows = extract_all(corpus, scores, window=window)
+    assert indexed_rows(rows) == reference_rows(corpus, window)
+    # the single-competition entry point builds its own index
+    single = [row for cid in sorted(corpus.competitions)
+              for row in extract_features(corpus.competitions[cid], corpus,
+                                          scores, window=window)]
+    assert single == rows
 
 
 def test_index_hand_fixture_career_end_and_years():
@@ -500,12 +496,9 @@ def test_index_hand_fixture_career_end_and_years():
     assert feats["c1", "a1"].surname_match == 1
     assert feats["c2", "a1"].surname_match == 0
     assert feats["c1", "a1"].years_with_president == 10
-    # m1 shares 2001-2005; m4 shares 2005 only (S2 in 2004 under match_sds)
+    # m1 shares 2001-2005; m4 shares 2005 only (S2 in 2004)
     assert feats["c1", "a1"].years_with_members == 6
     assert feats["c2", "a2"].years_with_president == 9  # at UB in 2009
-    loose = {(f.competition_id, f.researcher_id): f for f in extract_all(
-        corpus, default_scores(corpus), match_sds=False)}
-    assert loose["c1", "a1"].years_with_members == 7
     for window in ((2001, 2010), (1995, 2020)):
         assert_index_matches_reference(corpus, window)
 

@@ -128,13 +128,6 @@ def test_contribution_degenerate_sizes():
     assert weights == pytest.approx([0.30, 0.20, 0.20, 0.30], abs=1e-15)
 
 
-def test_contribution_renormalize_mode():
-    weights = publication_weights(entries("U1", "U9", "U9", "U2"), CONTRIB,
-                                  residual_mode="renormalize")
-    assert weights == pytest.approx([1 / 3, 1 / 6, 1 / 6, 1 / 3], abs=1e-15)
-    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_three_authors_same_university():
     weights = publication_weights(entries("U1", "U2", "U1"), CONTRIB)
     assert weights == pytest.approx([0.40, 0.20, 0.40], abs=1e-15)
@@ -169,9 +162,9 @@ def test_weight_closure_random_bylines():
                 for _ in range(n)]
         byline = [BylineEntry(f"a{i}", u) for i, u in enumerate(unis)]
         conv = CONTRIB if rng.random() < 0.5 else ALPHA
-        mode = "renormalize" if rng.random() < 0.3 else "collapse"
+        rng.random()  # this draw once chose a residual mode; it keeps the bylines
         focal = None if rng.random() < 0.5 else "U1"
-        weights = publication_weights(byline, conv, focal, mode)
+        weights = publication_weights(byline, conv, focal)
         assert abs(sum(weights) - 1.0) < 1e-12
         assert all(w > 0 for w in weights)
 

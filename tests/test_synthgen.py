@@ -56,7 +56,6 @@ def test_roundtrip_through_files(tmp_path):
     assert loaded.publications == corpus.publications
     assert loaded.competitions == corpus.competitions
     assert loaded.taxonomy == corpus.taxonomy
-    assert loaded.subject_categories == corpus.subject_categories
 
 
 def test_generated_corpora_validate_clean():

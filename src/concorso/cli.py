@@ -11,6 +11,7 @@ regression stages also write text tables rendered from the JSON twins.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -323,6 +324,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 3
+    # Cyclic GC is paused for the run: it builds a large heap of records that
+    # hold no reference cycles, so each full collection would only rescan it
+    # (about a second in all at gen L), and reference counting frees the heap
+    # anyway. The caller's GC state is restored on every way out.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -334,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import DanglingReference, DataError, DuplicateId, MalformedRecord
@@ -99,6 +100,16 @@ class Researcher:
             if y == year:
                 hit = (uni, sds)
         return hit if hit is not None else (self.university_id, self.sds_id)
+
+    def timeline(self, lo: int, hi: int) -> tuple[tuple[str, str] | None, ...]:
+        """``affiliation_in(year)`` for each year from lo to hi, in one pass."""
+        base = (self.university_id, self.sds_id)
+        line = [base if self.active_in(year) else None
+                for year in range(lo, hi + 1)]
+        for year, uni, sds in self.affiliations:  # the last override wins
+            if lo <= year <= hi and line[year - lo] is not None:
+                line[year - lo] = (uni, sds)
+        return tuple(line)
 
     def career_years_in(self, window: tuple[int, int]) -> int:
         lo = max(window[0], self.career_start_year)
@@ -517,6 +528,10 @@ def _affiliation_string(r: Researcher) -> str:
     return ";".join(f"{y}:{u}:{s}" for y, u, s in r.affiliations)
 
 
+def _json_str(text: str | None) -> str:
+    return "null" if text is None else encode_basestring_ascii(text)
+
+
 def write_corpus(corpus: Corpus, directory: str | Path) -> CorpusPaths:
     """Write the corpus back to the four standard files; round-trips losslessly."""
     directory = Path(directory)
@@ -540,17 +555,18 @@ def write_corpus(corpus: Corpus, directory: str | Path) -> CorpusPaths:
                 _affiliation_string(r),
             ])
 
+    # the largest file, so each line is formatted directly; the bytes equal
+    # json.dumps of {"id", "year", "subject_category", "citations",
+    # "byline": [{"author", "university"}, ...]}
     with open(paths.publications, "w", encoding="utf-8") as fh:
         for pub in corpus.publications.values():
-            record = {
-                "id": pub.id,
-                "year": pub.year,
-                "subject_category": pub.subject_category_id,
-                "citations": pub.citations,
-                "byline": [{"author": e.author, "university": e.university}
-                           for e in pub.byline],
-            }
-            fh.write(json.dumps(record) + "\n")
+            byline = ", ".join(
+                f'{{"author": {_json_str(e.author)}, '
+                f'"university": {_json_str(e.university)}}}'
+                for e in pub.byline)
+            fh.write(f'{{"id": {_json_str(pub.id)}, "year": {pub.year}, '
+                     f'"subject_category": {_json_str(pub.subject_category_id)}, '
+                     f'"citations": {pub.citations}, "byline": [{byline}]}}\n')
 
     with open(paths.competitions, "w", encoding="utf-8") as fh:
         for comp in corpus.competitions.values():

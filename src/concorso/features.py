@@ -92,8 +92,7 @@ class _Index:
 
     def __init__(self, corpus: Corpus, window: tuple[int, int] | None) -> None:
         self.corpus = corpus
-        lo, hi = corpus.collaboration_window if window is None else window
-        self.years = range(lo, hi + 1)
+        self.lo, self.hi = corpus.collaboration_window if window is None else window
         self._names: dict[int, dict[str, set[str]]] = {}
         self._timelines: dict[str, tuple[tuple[str, str] | None, ...]] = {}
         self._pubs: dict[str, set[str]] = {}
@@ -115,9 +114,8 @@ class _Index:
         """(university, sds) per window year, None outside the career."""
         line = self._timelines.get(researcher_id)
         if line is None:
-            researcher = self.corpus.researchers[researcher_id]
-            line = self._timelines[researcher_id] = tuple(
-                researcher.affiliation_in(year) for year in self.years)
+            line = self._timelines[researcher_id] = self.corpus.researchers[
+                researcher_id].timeline(self.lo, self.hi)
         return line
 
     def window_pub_ids(self, researcher_id: str) -> set[str]:
@@ -125,13 +123,13 @@ class _Index:
         if pubs is None:
             pubs = self._pubs[researcher_id] = {
                 p.id for p in self.corpus.publications_by_author(researcher_id)
-                if p.year in self.years}
+                if self.lo <= p.year <= self.hi}
         return pubs
 
-    def shared_years(self, a: str, b: str) -> int:
-        """Window years a and b spent at the same university and SDS."""
-        return sum(1 for fa, fb in zip(self.timeline(a), self.timeline(b))
-                   if fa is not None and fa == fb)
+
+def _shared_years(a, b) -> int:
+    """Window years two timelines spent at the same university and SDS."""
+    return sum(1 for fa, fb in zip(a, b) if fa is not None and fa == fb)
 
 
 def extract_features(
@@ -153,6 +151,8 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
     local_names = index.full_professor_names(comp.university_id, comp.year)
     president = corpus.researchers[comp.president]
     members = [corpus.researchers[m] for m in comp.members]
+    president_line = index.timeline(comp.president)
+    member_lines = [index.timeline(m) for m in comp.members]
     president_pubs = index.window_pub_ids(comp.president)
     member_pubs = [index.window_pub_ids(m) for m in comp.members]
     committee_genders = [president.gender] + [m.gender for m in members]
@@ -165,9 +165,10 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
         if percentile is None:
             raise MissingScore(f"applicant {rid} has no productivity score")
         applicant_pubs = index.window_pub_ids(rid)
+        line = index.timeline(rid)
 
-        cp = index.shared_years(rid, comp.president)
-        ce = sum(index.shared_years(rid, m) for m in comp.members)
+        cp = _shared_years(line, president_line)
+        ce = sum(_shared_years(line, m) for m in member_lines)
         if president_pubs:
             pp = 100.0 * len(president_pubs & applicant_pubs) / len(president_pubs)
         else:

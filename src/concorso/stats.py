@@ -3,7 +3,9 @@ with cluster-robust inference, VIF, and joint Wald tests.
 
 Formulas are computed directly from their textbook definitions; scipy is used
 only for tail probabilities (Student t, normal, chi-squared), through the
-``scipy.special`` functions that ``scipy.stats`` itself calls.
+``scipy.special`` functions that ``scipy.stats`` itself calls. ``scipy.special``
+is imported on first use, so ``import concorso`` and ``concorso gen``, which
+computes no p-value, do not load scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, stdtr
 
 from .errors import (
     DegenerateInput,
@@ -63,8 +64,7 @@ def pearson(x, y) -> TestResult:
         t = math.inf if r > 0 else -math.inf
     else:
         t = r * math.sqrt(df / (1.0 - r * r))
-    p_upper = float(stdtr(df, -t))
-    p_two = float(2.0 * stdtr(df, -abs(t)))
+    p_upper, p_two = _t_tails(df, t)
     return TestResult(statistic=t, df=df, p_one_sided=p_upper,
                       p_two_sided=min(1.0, p_two), r=r)
 
@@ -99,14 +99,20 @@ def two_sample_t(a, b, pooled: bool = True) -> TestResult:
         t = math.inf if ma > mb else -math.inf
     else:
         t = (ma - mb) / denom
-    p_upper = float(stdtr(df, -t))
-    p_two = float(2.0 * stdtr(df, -abs(t)))
+    p_upper, p_two = _t_tails(df, t)
     return TestResult(statistic=t, df=df, p_one_sided=p_upper,
                       p_two_sided=min(1.0, p_two))
 
 
+def _t_tails(df: float, t: float) -> tuple[float, float]:
+    """Upper-tail and two-sided Student-t p-values of t."""
+    from scipy.special import stdtr
+    return float(stdtr(df, -t)), float(2.0 * stdtr(df, -abs(t)))
+
+
 def _chi2_sf(x: float, df: int) -> float:
     """``scipy.stats.chi2.sf``: 1 below the support, where chdtrc is NaN."""
+    from scipy.special import chdtrc
     return float(chdtrc(df, max(x, 0.0)))
 
 
@@ -277,6 +283,7 @@ def fit_logit(
     cov = bread @ meat @ bread
     se = np.sqrt(np.diag(cov))
 
+    from scipy.special import ndtr
     coefficients = []
     for j, name in enumerate(design.columns):
         b = float(beta[j])

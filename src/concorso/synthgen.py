@@ -158,6 +158,16 @@ def _zipf_probs(pool: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _nth_free(k: int, taken: list[int]) -> int:
+    """Position of the k-th (0-based) entry of a sequence once the positions
+    in ``taken`` (distinct) are skipped."""
+    for t in sorted(taken):
+        if t > k:
+            break
+        k += 1
+    return k
+
+
 def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     """Build a corpus plus its ground truth; deterministic in cfg.seed."""
     validate_config(cfg)
@@ -228,26 +238,37 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
             elif rank is Rank.ASSISTANT:
                 assistants[sds_id].append(rid)
 
+    # each researcher's byline university per corpus year, base outside the career
+    byline_unis = {
+        rid: tuple(affiliation[0] if affiliation else r.university_id
+                   for affiliation in r.timeline(year_lo, year_hi))
+        for rid, r in corpus.researchers.items()}
+
     # publications: per researcher-year Poisson counts with sampled coauthors
     pub_counter = 0
     ext_counter = 0
     for sds_id in sds_ids:
-        for rid in peers[sds_id]:
+        field_peers = peers[sds_id]
+        place = {p: i for i, p in enumerate(field_peers)}
+        for rid in field_peers:
             researcher = corpus.researchers[rid]
+            full_pool = [f for f in fulls[sds_id] if f != rid]
             for year in range(max(year_lo, researcher.career_start_year), year_hi + 1):
                 for _ in range(int(rng.poisson(cfg.publication_intensity))):
                     pub_counter += 1
                     authors = [rid]
                     if rng.random() < cfg.coauthor_full_rate:
-                        pool = [f for f in fulls[sds_id] if f != rid]
-                        take = min(len(pool), int(rng.integers(1, 3)))
+                        take = min(len(full_pool), int(rng.integers(1, 3)))
                         if take:
-                            picks = rng.choice(len(pool), size=take, replace=False)
-                            authors.extend(pool[p] for p in sorted(picks))
+                            picks = rng.choice(len(full_pool), size=take, replace=False)
+                            authors.extend(full_pool[p] for p in sorted(picks))
                     if rng.random() < cfg.coauthor_peer_rate:
-                        pool = [p for p in peers[sds_id] if p not in authors]
-                        if pool:
-                            authors.append(pool[int(rng.integers(0, len(pool)))])
+                        # every author so far is a distinct peer of this field
+                        n_free = len(field_peers) - len(authors)
+                        if n_free:
+                            k = int(rng.integers(0, n_free))
+                            authors.append(field_peers[
+                                _nth_free(k, [place[a] for a in authors])])
                     for _ in range(int(rng.integers(0, 4))):
                         ext_counter += 1
                         authors.append(f"x{ext_counter:05d}")
@@ -255,10 +276,9 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                     byline = []
                     for pos in order:
                         author = authors[pos]
-                        known = corpus.researchers.get(author)
+                        known = byline_unis.get(author)
                         if known is not None:
-                            affiliation = known.affiliation_in(year)
-                            uni = affiliation[0] if affiliation else known.university_id
+                            uni = known[year - year_lo]
                         else:
                             uni = (None if rng.random() < 0.5 else
                                    universities[int(rng.integers(0, cfg.n_universities))])
@@ -283,17 +303,18 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
             raise InfeasibleConfig(
                 f"SDS {sds_id} has {len(eligible_pool)} eligible assistant "
                 f"professors; competitions need {guaranteed_eligible}")
+        pool = fulls[sds_id]
+        # full professors by university in the competition year, in pool order
+        local_fulls: dict[str, list[str]] = {}
+        for f in pool:
+            affiliation = corpus.researchers[f].affiliation_in(cfg.competition_year)
+            if affiliation is not None:
+                local_fulls.setdefault(affiliation[0], []).append(f)
         for c in range(cfg.competitions_per_sds):
             comp_id = f"c-{sds_id}-{c + 1:02d}"
             comp_uni = universities[int(rng.integers(0, cfg.n_universities))]
-            pool = fulls[sds_id]
             if cfg.committee_rule == "host":
-                local = [f for f in pool
-                         if corpus.researchers[f].affiliation_in(
-                             cfg.competition_year) is not None
-                         and corpus.researchers[f].affiliation_in(
-                             cfg.competition_year)[0] == comp_uni]
-                president_pool = local if local else pool
+                president_pool = local_fulls.get(comp_uni) or pool
             else:
                 president_pool = pool
             president = president_pool[int(rng.integers(0, len(president_pool)))]

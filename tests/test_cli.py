@@ -1,6 +1,7 @@
 """Tests for the command line and the report rendering layer."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -304,6 +305,37 @@ GOLDEN_REPORT_S = {
 }
 
 
+# The same at M: `concorso gen --n-sds 20 --researchers-per-sds 100
+# --competitions-per-sds 20 --seed 1 --w-cp 6 --noise-sd 8` and the 14
+# `concorso report` outputs on that corpus, as produced before the generator
+# shared its coauthor pools and affiliation timelines across publications.
+GOLDEN_GEN_M = {
+    "competitions.jsonl": "fe4929fc47ea380d15e6db61607091828c4887fcfb8f81fd26d271d5c3d485e1",
+    "ground_truth.jsonl": "babbd2e8aef5ddefa0475d3ea7c3a447e99728aac8a5ffc7ac5298d71bc5dff2",
+    "publications.jsonl": "8589998fc411d2bde543df66b47b9fc51e692bf8cf50f5fb98abedef623ba41e",
+    "researchers.csv": "21c6b8bccca89c57deceaab3bd559765d7a783bcae38e4373d5bddf30f3719e4",
+    "taxonomy.csv": "4dbdc886e6ab869381565b4330f4525862ee8c320b02ea357eb212de22cb0a90",
+}
+GOLDEN_REPORT_M = {
+    "bias_negative.json": "bc0bf6d6728ce944dd7d122cbd4a217422c0c018ce7d329c2303677cf0a89d57",
+    "bias_negative.txt": "0562f4863638ddf3d1982b5045972943621ec29bc612db67e43276ec7d34d87c",
+    "bias_positive.json": "51bde672ea3d3e97fc262276eabdef978ca85b082bd4b8cd21d1ed3fddf2363a",
+    "bias_positive.txt": "9da20c1edd34990efcb02ce7f0ac00b27e54ca867ce3a58d92eba9d1822c0f83",
+    "correlations.json": "2118fe361454337f33776c278fd53b3a628cb437563c32d7526df47b8a9b7ac5",
+    "correlations.txt": "72d33ba02820267ab165a8cba5501a1f65c01f30ae74c9466500bf4b9328cd9c",
+    "descriptives.json": "433d079b4cb5ade3eb9e0ca6315e7bf4979a75abcc0f7897e740113b2f410a5c",
+    "descriptives.txt": "a8444eee65f25ade165093e89a578c700b9df948cb94a9f3244bfc76c267b456",
+    "features.csv": "6498bc05e9363428fb5c2e03f1b0d4eca6097b0a7bdbc2c4811b5790b7181dc8",
+    "findings.csv": "cb106c7f53870e380498e1e4dbae0de7397e5dc08c2a7f35f3af89ba86518324",
+    "regression.json": "4785036139d190b94711c011f9442220da6ba4b7731698dff532020d59c5196e",
+    "regression.txt": "bd4a6412a986d2b621c14590828a798cb587b0b1a11c218779925c5ce6bc1abd",
+    "score_meta.json": "b3c419c0ba61bd97f57bb3c1efed82518b4b6f7ededc270faa571928954d9276",
+    "scores.csv": "ee9750ac6f44e362e5c250ba33109dc5ca7fe68aeb3eaca932a517e3b2a1b3c2",
+}
+GEN_M = ["--n-sds", "20", "--researchers-per-sds", "100",
+         "--competitions-per-sds", "20"]
+
+
 def digests(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in directory.iterdir()}
@@ -365,3 +397,55 @@ def test_one_load_score_extract_per_run(golden_corpus, tmp_path, monkeypatch,
                      "--out-dir", str(tmp_path / command)]) == 0
         assert calls == {"load_corpus": 1, "score_corpus": 1,
                          "extract_all": extractions}, command
+
+
+def test_gen_and_report_golden_hashes_at_m(tmp_path, capsys):
+    corpus_dir, report_dir = tmp_path / "corpus", tmp_path / "report"
+    assert run_gen(corpus_dir, *GEN_M, "--seed", "1", "--w-cp", "6",
+                   "--noise-sd", "8", small=False) == 0
+    assert digests(corpus_dir) == GOLDEN_GEN_M
+    assert main(["report", "--input-dir", str(corpus_dir),
+                 "--out-dir", str(report_dir)]) == 0
+    assert digests(report_dir) == GOLDEN_REPORT_M
+
+
+def test_main_restores_the_callers_gc_state(tmp_path, capsys):
+    # main() pauses cyclic GC for the run; it must hand back the state it
+    # found whatever the exit code, or every later in-process caller would
+    # run without (or with) collection
+    corpus_dir = tmp_path / "corpus"
+    runs = [
+        (["gen", "--out-dir", str(corpus_dir), *GEN_SMALL, "--seed", "2",
+          "--female-share", "0"], 0),
+        (["score", "--input-dir", str(tmp_path / "nowhere"),
+          "--out-dir", str(tmp_path / "out")], 1),
+        (["regress", "--input-dir", str(corpus_dir),
+          "--out-dir", str(tmp_path / "out")], 2),
+        (["audit", "--input-dir", str(corpus_dir),
+          "--out-dir", str(tmp_path / "out"), "--threshold", "0"], 3),
+        (["frobnicate"], 3),
+    ]
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in runs:
+                assert main(argv) == code, argv
+                assert gc.isenabled() is enabled, (argv, enabled)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_main_pauses_gc_during_the_run_and_restores_it_on_a_crash(monkeypatch):
+    seen = []
+
+    def crash(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_gen", crash)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        main(["gen", "--out-dir", "unused"])
+    assert seen == [False]
+    assert gc.isenabled()

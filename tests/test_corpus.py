@@ -1,7 +1,13 @@
 """Loading, validation, and round-trip serialization of corpus files."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from concorso.corpus import (
     BylineEntry,
@@ -365,3 +371,95 @@ def test_round_trip_random_corpora(tmp_path):
         write_corpus(corpus, out)
         reloaded = load_corpus(out)
         assert reloaded == corpus
+
+
+# ---------------------------------------------------------------------------
+# affiliation timelines
+# ---------------------------------------------------------------------------
+
+OVERRIDE_YEARS = st.integers(1988, 2014)  # narrow, so override years repeat
+
+
+@settings(max_examples=300, deadline=None)
+@example(start=2000, end_offset=3, overrides=[(2001, "U1", "S1"), (2001, "U2", "S2"),
+                                               (2005, "U3", "S1")], lo=1999, span=6)
+@example(start=2000, end_offset=None, overrides=[], lo=2003, span=-2)
+@given(start=st.integers(1985, 2012),
+       end_offset=st.one_of(st.none(), st.integers(-2, 20)),
+       overrides=st.lists(st.tuples(OVERRIDE_YEARS, st.sampled_from(["U1", "U2", "U3"]),
+                                    st.sampled_from(["S1", "S2"])), max_size=6),
+       lo=st.integers(1980, 2016),
+       span=st.integers(-4, 14))
+def test_timeline_equals_affiliation_in_per_year(start, end_offset, overrides,
+                                                 lo, span):
+    # careers that end inside the window, windows that start before the
+    # career, repeated override years (the last one wins), and lo > hi
+    r = Researcher(id="r1", gender=Gender.FEMALE, family_name="Rossi",
+                   university_id="U0", sds_id="S0", rank=Rank.FULL,
+                   career_start_year=start,
+                   career_end_year=None if end_offset is None else start + end_offset,
+                   affiliations=tuple(overrides))
+    hi = lo + span
+    assert r.timeline(lo, hi) == tuple(r.affiliation_in(y) for y in range(lo, hi + 1))
+
+
+# ---------------------------------------------------------------------------
+# publications.jsonl lines
+# ---------------------------------------------------------------------------
+
+# text with non-ASCII letters, quotes, backslashes, control characters and
+# lone surrogates, all of which json.dumps escapes
+TEXT = st.text(st.one_of(
+    st.characters(),
+    st.characters(max_codepoint=0x1f),
+    st.sampled_from(['"', "\\", "/", "\x7f", "\u2028", "\ud800", "\udc80",
+                     "\udfff", "\u00e8", "\U0001f600"])))
+OPTIONAL_TEXT = st.one_of(st.none(), TEXT)
+BYLINES = st.lists(st.builds(BylineEntry, author=OPTIONAL_TEXT,
+                             university=OPTIONAL_TEXT), max_size=4)
+PUBLICATIONS = st.lists(
+    st.builds(Publication, id=TEXT.filter(bool), year=st.integers(),
+              subject_category_id=TEXT, citations=st.integers(),
+              byline=BYLINES),
+    max_size=6, unique_by=lambda p: json.loads(json.dumps(p.id)))
+
+
+def _dumps_record(pub):
+    return json.dumps({
+        "id": pub.id,
+        "year": pub.year,
+        "subject_category": pub.subject_category_id,
+        "citations": pub.citations,
+        "byline": [{"author": e.author, "university": e.university}
+                   for e in pub.byline],
+    }) + "\n"
+
+
+def _json_round_trip(pub):
+    def text(value):
+        return json.loads(json.dumps(value))
+    return Publication(
+        id=text(pub.id), year=pub.year,
+        subject_category_id=text(pub.subject_category_id),
+        citations=pub.citations,
+        byline=[BylineEntry(text(e.author), text(e.university)) for e in pub.byline])
+
+
+@settings(max_examples=100, deadline=None)
+@example(publications=[
+    Publication(id='p"1\\', year=10**30, subject_category_id="\u00e8\n\ud800",
+                citations=-(10**20),
+                byline=[BylineEntry(None, None), BylineEntry("x\x00", "U\u2028")]),
+    Publication(id="p2", year=2001, subject_category_id="", citations=0, byline=[])])
+@given(publications=PUBLICATIONS)
+def test_publication_lines_equal_json_dumps(publications):
+    corpus = Corpus(publications={p.id: p for p in publications})
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_corpus(corpus, directory)
+        written = Path(paths.publications).read_bytes()
+        assert written == "".join(map(_dumps_record, publications)).encode("ascii")
+        # reading back gives every field as written, except that JSON joins a
+        # high surrogate followed by a low one into the character they encode
+        assert load_corpus(paths).publications == {
+            p.id: p for p in map(_json_round_trip, publications)}
+

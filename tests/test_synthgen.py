@@ -5,6 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concorso.corpus import Rank, load_corpus, validate_corpus
 from concorso.errors import InfeasibleConfig
@@ -12,6 +14,7 @@ from concorso.features import MIN_CAREER_YEARS, filter_eligible
 from concorso.scoring import score_corpus
 from concorso.synthgen import (
     GenConfig,
+    _nth_free,
     LatentWeights,
     generate,
     generate_to_dir,
@@ -237,3 +240,17 @@ def test_surname_pool_bounds_distinct_names():
                                    n_sds=5, researchers_per_sds=60))
     wide = {r.family_name for r in corpus.researchers.values()}
     assert len(wide) > len(names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 40), data=st.data())
+def test_nth_free_equals_filtered_list_pick(n, data):
+    # the peer coauthor pick: index arithmetic on the peer list instead of
+    # building the list of peers that are not yet authors
+    peers = [f"r{i:03d}" for i in range(n)]
+    authors = data.draw(st.lists(st.sampled_from(peers), unique=True,
+                                 max_size=n) if n else st.just([]))
+    place = {p: i for i, p in enumerate(peers)}
+    free = [p for p in peers if p not in authors]
+    for k in range(len(free)):
+        assert peers[_nth_free(k, [place[a] for a in authors])] == free[k]

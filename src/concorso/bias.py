@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import DegenerateInput
-from .features import ApplicantFeatures, filter_eligible
+from .features import ApplicantFeatures
 from .stats import TestResult, bonferroni, pearson, two_sample_t
 
 DEFAULT_THRESHOLD = 20.0
@@ -123,16 +123,15 @@ def detect_all(
     features,
     corpus: Corpus,
     medians: dict[str, float],
+    retained: list[str],
     threshold: float = DEFAULT_THRESHOLD,
-    retained: list[str] | None = None,
 ) -> list[BiasFinding]:
     """Run both detectors over the retained competitions, in fixed order.
 
     ``medians`` maps SDS id to the cohort median raw score; competitions
-    whose SDS has no median (empty cohort) are skipped.
+    whose SDS has no median (empty cohort) are skipped. ``retained`` is the
+    audit set of ``filter_eligible``.
     """
-    if retained is None:
-        retained = filter_eligible(corpus).retained_competitions
     by_comp: dict[str, list[ApplicantFeatures]] = {}
     for f in features:
         by_comp.setdefault(f.competition_id, []).append(f)
@@ -182,7 +181,6 @@ class BiasTable:
     overall: UdaRow
     n_competitions: int
     n_findings: int
-    levels_p_i_only: bool = False
 
 
 def _mean(xs) -> float:
@@ -219,7 +217,6 @@ def aggregate_bias(
     corpus: Corpus,
     kind: BiasKind,
     threshold: float = DEFAULT_THRESHOLD,
-    levels_p_i_only: bool = False,
     welch: bool = False,
 ) -> BiasTable:
     """Fold findings of one kind into per-discipline, per-gender cells.
@@ -229,12 +226,10 @@ def aggregate_bias(
     entered several competitions counts once per entry. Incidence and level
     differences between genders get two-sample t-tests, Bonferroni-adjusted
     across the per-UDA family; correlation p-values are adjusted across all
-    computable per-UDA gender cells. ``levels_p_i_only`` restricts level
-    statistics (not counts) to findings whose triggers include P-i.
+    computable per-UDA gender cells.
     """
     findings = [f for f in findings if f.kind == kind]
-    flagged = {(f.competition_id, f.researcher_id) for f in findings}
-    level_of = {(f.competition_id, f.researcher_id): f for f in findings}
+    level_of = {(f.competition_id, f.researcher_id): f.level for f in findings}
 
     def uda_of(comp_id: str) -> str:
         return corpus.taxonomy[corpus.competitions[comp_id].sds_id].uda_id
@@ -243,45 +238,28 @@ def aggregate_bias(
     for row in features:
         by_uda.setdefault(uda_of(row.competition_id), []).append(row)
 
-    def level_values(rows) -> list[float]:
-        out = []
-        for r in rows:
-            finding = level_of.get((r.competition_id, r.researcher_id))
-            if finding is None:
-                continue
-            if levels_p_i_only and "P-i" not in finding.triggers:
-                continue
-            out.append(finding.level)
-        return out
-
     def build_row(uda: str, rows) -> UdaRow:
         row = UdaRow(uda=uda)
+        incidence, levels = [], []  # female then male
         for cell, subset in ((row.female, [r for r in rows if r.female]),
                              (row.male, [r for r in rows if not r.female])):
+            keys = [(r.competition_id, r.researcher_id) for r in subset]
+            flags = [key in level_of for key in keys]
+            incidence.append([float(flag) for flag in flags])
+            levels.append([level_of[key] for key in keys if key in level_of])
             cell.n_applicants = len(subset)
-            cell.n_flagged = sum(
-                1 for r in subset
-                if (r.competition_id, r.researcher_id) in flagged)
+            cell.n_flagged = sum(flags)
             if cell.n_applicants:
                 cell.share = cell.n_flagged / cell.n_applicants
-            _fill_levels(cell, level_values(subset))
+            _fill_levels(cell, levels[-1])
             if len(subset) >= 3:
                 _fill_correlation(cell, subset)
-        f_rows = [r for r in rows if r.female]
-        m_rows = [r for r in rows if not r.female]
-        f_incidence = [float((r.competition_id, r.researcher_id) in flagged)
-                       for r in f_rows]
-        m_incidence = [float((r.competition_id, r.researcher_id) in flagged)
-                       for r in m_rows]
         try:
-            row.incidence_test = two_sample_t(f_incidence, m_incidence,
-                                              pooled=not welch)
+            row.incidence_test = two_sample_t(*incidence, pooled=not welch)
         except DegenerateInput:
             row.incidence_test = None
-        f_levels = level_values(f_rows)
-        m_levels = level_values(m_rows)
         try:
-            row.level_test = two_sample_t(f_levels, m_levels, pooled=not welch)
+            row.level_test = two_sample_t(*levels, pooled=not welch)
         except DegenerateInput:
             row.level_test = None
         return row
@@ -308,7 +286,6 @@ def aggregate_bias(
         overall=overall,
         n_competitions=len({r.competition_id for r in features}),
         n_findings=len(findings),
-        levels_p_i_only=levels_p_i_only,
     )
 
 

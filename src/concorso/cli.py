@@ -14,7 +14,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bias import (
@@ -54,17 +53,6 @@ from .stats import fit_logit
 from .synthgen import GenConfig, LatentWeights, generate_to_dir
 
 
-@dataclass
-class RunConfig:
-    input_dir: Path | None
-    out_dir: Path
-    productivity_window: tuple[int, int] = DEFAULT_PRODUCTIVITY_WINDOW
-    collaboration_window: tuple[int, int] = DEFAULT_COLLABORATION_WINDOW
-    threshold: float = DEFAULT_THRESHOLD
-    one_sided: bool = False
-    welch: bool = False
-
-
 def parse_window(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -78,28 +66,19 @@ def parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        input_dir=Path(args.input_dir) if getattr(args, "input_dir", None) else None,
-        out_dir=Path(args.out_dir),
-    )
-    if getattr(args, "window_fss", None):
-        cfg.productivity_window = parse_window(args.window_fss)
-    if getattr(args, "window_collab", None):
-        cfg.collaboration_window = parse_window(args.window_collab)
-    if hasattr(args, "threshold"):
-        if args.threshold <= 0:
-            raise ConfigError(f"threshold must be > 0, got {args.threshold:g}")
-        cfg.threshold = args.threshold
-    cfg.one_sided = getattr(args, "one_sided", False)
-    cfg.welch = getattr(args, "welch", False)
-    return cfg
+def _windows(args: argparse.Namespace) -> dict[str, tuple[int, int]]:
+    """The corpus windows given by --window-fss and --window-collab, as
+    keyword arguments of ``load_corpus`` and ``GenConfig``."""
+    windows = {}
+    if args.window_fss:
+        windows["productivity_window"] = parse_window(args.window_fss)
+    if args.window_collab:
+        windows["collaboration_window"] = parse_window(args.window_collab)
+    return windows
 
 
-def _load(cfg: RunConfig) -> Corpus:
-    corpus = load_corpus(cfg.input_dir,
-                         productivity_window=cfg.productivity_window,
-                         collaboration_window=cfg.collaboration_window)
+def _load(input_dir: Path, windows: dict[str, tuple[int, int]]) -> Corpus:
+    corpus = load_corpus(input_dir, **windows)
     report = validate_corpus(corpus)
     if not report.ok:
         lines = [f"  {v.entity_type} {v.entity_id}: {v.message}"
@@ -124,7 +103,7 @@ def _write_text(text: str, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+    windows = _windows(args)
     weights = LatentWeights(merit=args.w_merit, cp=args.w_cp, ce=args.w_ce,
                             pp=args.w_pp, ne=args.w_ne, sp=args.w_sp,
                             noise_sd=args.noise_sd)
@@ -140,78 +119,77 @@ def cmd_gen(args: argparse.Namespace) -> int:
         winners_per_competition=args.winners_per_competition,
         applicants_per_competition=args.applicants_per_competition,
         mobility_rate=args.mobility_rate,
-        productivity_window=cfg.productivity_window,
-        collaboration_window=cfg.collaboration_window,
+        **windows,
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    corpus, truth, _ = generate_to_dir(gen_cfg, cfg.out_dir)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    corpus, truth, _ = generate_to_dir(gen_cfg, args.out_dir)
     print(f"generated corpus with seed {gen_cfg.seed}: "
           f"{len(corpus.researchers)} researchers, "
           f"{len(corpus.publications)} publications, "
           f"{len(corpus.competitions)} competitions "
           f"({truth.injected_fraction:.1%} with injected bias) "
-          f"-> {cfg.out_dir}")
+          f"-> {args.out_dir}")
     return 0
 
 
-def _write_score_stage(cfg: RunConfig, corpus: Corpus, table: ScoreTable) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_scores(table, corpus, cfg.out_dir / "scores.csv")
-    write_score_meta(table, corpus, cfg.out_dir / "score_meta.json")
+def _write_score_stage(out_dir: Path, corpus: Corpus, table: ScoreTable) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_scores(table, corpus, out_dir / "scores.csv")
+    write_score_meta(table, out_dir / "score_meta.json")
     print(f"scored {len(table.scores)} researchers over "
-          f"{cfg.productivity_window[0]}:{cfg.productivity_window[1]} "
+          f"{table.window[0]}:{table.window[1]} "
           f"({len(table.skipped)} skipped, no career overlap) "
-          f"-> {cfg.out_dir / 'scores.csv'}")
+          f"-> {out_dir / 'scores.csv'}")
 
 
-def _write_audit_stage(cfg: RunConfig, corpus: Corpus, table: ScoreTable,
-                       rows, retained: list[str]) -> None:
+def _write_audit_stage(args: argparse.Namespace, corpus: Corpus,
+                       table: ScoreTable, rows, retained: list[str]) -> None:
     kept = set(retained)
     audit_rows = [r for r in rows if r.competition_id in kept]
     medians = median_fss_by_sds(table, corpus)
-    findings = detect_all(audit_rows, corpus, medians,
-                          threshold=cfg.threshold, retained=retained)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_findings(findings, cfg.out_dir / "findings.csv")
+    findings = detect_all(audit_rows, corpus, medians, retained,
+                          threshold=args.threshold)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_findings(findings, args.out_dir / "findings.csv")
     for kind, stem in ((BiasKind.NEGATIVE, "bias_negative"),
                        (BiasKind.POSITIVE, "bias_positive")):
         bias_table = aggregate_bias(findings, audit_rows, corpus, kind,
-                                    threshold=cfg.threshold, welch=cfg.welch)
+                                    threshold=args.threshold, welch=args.welch)
         twin = bias_table_dict(bias_table)
-        _write_json(twin, cfg.out_dir / f"{stem}.json")
-        _write_text(render_bias_table(twin, one_sided=cfg.one_sided),
-                    cfg.out_dir / f"{stem}.txt")
+        _write_json(twin, args.out_dir / f"{stem}.json")
+        _write_text(render_bias_table(twin, one_sided=args.one_sided),
+                    args.out_dir / f"{stem}.txt")
     if not retained:
         print("warning: no competition retained an eligible winner and "
               "non-winner; tables are empty", file=sys.stderr)
     n_neg = sum(1 for f in findings if f.kind is BiasKind.NEGATIVE)
     n_pos = sum(1 for f in findings if f.kind is BiasKind.POSITIVE)
     print(f"audited {len(retained)} competitions "
-          f"at threshold {cfg.threshold:g}: {n_neg} negative and "
-          f"{n_pos} positive findings -> {cfg.out_dir / 'findings.csv'}")
+          f"at threshold {args.threshold:g}: {n_neg} negative and "
+          f"{n_pos} positive findings -> {args.out_dir / 'findings.csv'}")
 
 
-def _write_regress_stage(cfg: RunConfig, rows) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_features(rows, cfg.out_dir / "features.csv")
+def _write_regress_stage(out_dir: Path, rows) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_features(rows, out_dir / "features.csv")
 
     twin = descriptives_dict(rows)
-    _write_json(twin, cfg.out_dir / "descriptives.json")
-    _write_text(render_descriptives(twin), cfg.out_dir / "descriptives.txt")
+    _write_json(twin, out_dir / "descriptives.json")
+    _write_text(render_descriptives(twin), out_dir / "descriptives.txt")
 
     twin = correlations_dict(rows)
-    _write_json(twin, cfg.out_dir / "correlations.json")
-    _write_text(render_correlations(twin), cfg.out_dir / "correlations.txt")
+    _write_json(twin, out_dir / "correlations.json")
+    _write_text(render_correlations(twin), out_dir / "correlations.txt")
 
     design = build_design(rows)
     result = fit_logit(design)
     twin = regression_dict(result)
-    _write_json(twin, cfg.out_dir / "regression.json")
-    _write_text(render_regression(twin), cfg.out_dir / "regression.txt")
+    _write_json(twin, out_dir / "regression.json")
+    _write_text(render_regression(twin), out_dir / "regression.txt")
     print(f"fitted logistic model on {result.n_obs} applicant rows in "
           f"{result.n_clusters} competition clusters "
           f"(log likelihood {result.log_likelihood:.4f}) "
-          f"-> {cfg.out_dir / 'regression.txt'}")
+          f"-> {out_dir / 'regression.txt'}")
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -219,23 +197,24 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     corpus is loaded and scored once, and the feature rows that audit and
     regress share are extracted once.
     """
-    cfg = _run_config(args)
+    windows = _windows(args)
+    if "threshold" in args and args.threshold <= 0:
+        raise ConfigError(f"threshold must be > 0, got {args.threshold:g}")
     stages = (("score", "audit", "regress") if args.command == "report"
               else (args.command,))
-    corpus = _load(cfg)
-    table = score_corpus(corpus, cfg.productivity_window)
+    corpus = _load(args.input_dir, windows)
+    table = score_corpus(corpus)
     if "score" in stages:
-        _write_score_stage(cfg, corpus, table)
+        _write_score_stage(args.out_dir, corpus, table)
     if stages == ("score",):
         return 0
     eligibility = filter_eligible(corpus)
-    rows = extract_all(corpus, table, window=cfg.collaboration_window,
-                       eligibility=eligibility)
+    rows = extract_all(corpus, table, eligibility=eligibility)
     if "audit" in stages:
-        _write_audit_stage(cfg, corpus, table, rows,
+        _write_audit_stage(args, corpus, table, rows,
                            eligibility.retained_competitions)
     if "regress" in stages:
-        _write_regress_stage(cfg, rows)
+        _write_regress_stage(args.out_dir, rows)
     return 0
 
 
@@ -245,14 +224,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-fss", metavar="Y0:Y1",
-                   help="productivity window (default 2004:2008)")
+                   help="productivity window (default %d:%d)"
+                   % DEFAULT_PRODUCTIVITY_WINDOW)
     p.add_argument("--window-collab", metavar="Y0:Y1",
-                   help="collaboration window (default 2001:2010)")
+                   help="collaboration window (default %d:%d)"
+                   % DEFAULT_COLLABORATION_WINDOW)
 
 
 def _add_audit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="bias threshold in percentile points (default 20)")
+                   help="bias threshold in percentile points "
+                        "(default %(default)g)")
     p.add_argument("--welch", action="store_true",
                    help="Welch t-tests instead of pooled variance")
     p.add_argument("--one-sided", action="store_true",
@@ -267,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-sds", type=int, default=5)
     p.add_argument("--n-universities", type=int, default=6)
@@ -289,27 +271,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("score", help="compute productivity scores")
-    p.add_argument("--input-dir", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--input-dir", type=Path, required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     _add_window_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("audit", help="detect bias in competition outcomes")
-    p.add_argument("--input-dir", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--input-dir", type=Path, required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     _add_window_flags(p)
     _add_audit_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("regress", help="fit the outcome model")
-    p.add_argument("--input-dir", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--input-dir", type=Path, required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     _add_window_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("report", help="run score, audit, and regress in one pass")
-    p.add_argument("--input-dir", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--input-dir", type=Path, required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     _add_window_flags(p)
     _add_audit_flags(p)
     p.set_defaults(func=cmd_pipeline)

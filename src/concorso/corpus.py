@@ -236,31 +236,39 @@ def _parse_int(value: str, path, line_no: int, fieldname: str) -> int:
         raise MalformedRecord(path, line_no, fieldname, f"expected integer, got {value!r}")
 
 
-def _require_columns(fieldnames, required, path) -> None:
-    missing = [c for c in required if fieldnames is None or c not in fieldnames]
-    if missing:
-        raise MalformedRecord(path, 1, missing[0], "missing column in header")
+def _csv_rows(path: Path, columns: list[str]):
+    """(line, row dict) for each record of a CSV file with a header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            missing = [c for c in columns
+                       if reader.fieldnames is None or c not in reader.fieldnames]
+            if missing:
+                raise MalformedRecord(path, 1, missing[0], "missing column in header")
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            # DictReader.line_num stops at the last good record; its reader's
+            # count includes the line that failed
+            raise MalformedRecord(path, reader.reader.line_num, "-",
+                                  f"invalid CSV: {exc}")
 
 
 def _load_taxonomy(path: Path) -> dict[str, SdsRecord]:
     taxonomy: dict[str, SdsRecord] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, TAXONOMY_COLUMNS, path)
-        for row in reader:
-            line = reader.line_num
-            sds_id = (row["sds_id"] or "").strip()
-            if not sds_id:
-                raise MalformedRecord(path, line, "sds_id", "empty id")
-            if sds_id in taxonomy:
-                raise DuplicateId("sds", sds_id)
-            conv_raw = (row["byline_convention"] or "").strip()
-            try:
-                convention = Convention(conv_raw)
-            except ValueError:
-                raise MalformedRecord(path, line, "byline_convention",
-                                      f"expected ALPHA or CONTRIB, got {conv_raw!r}")
-            taxonomy[sds_id] = SdsRecord(sds_id, (row["uda_id"] or "").strip(), convention)
+    for line, row in _csv_rows(path, TAXONOMY_COLUMNS):
+        sds_id = (row["sds_id"] or "").strip()
+        if not sds_id:
+            raise MalformedRecord(path, line, "sds_id", "empty id")
+        if sds_id in taxonomy:
+            raise DuplicateId("sds", sds_id)
+        conv_raw = (row["byline_convention"] or "").strip()
+        try:
+            convention = Convention(conv_raw)
+        except ValueError:
+            raise MalformedRecord(path, line, "byline_convention",
+                                  f"expected ALPHA or CONTRIB, got {conv_raw!r}")
+        taxonomy[sds_id] = SdsRecord(sds_id, (row["uda_id"] or "").strip(), convention)
     return taxonomy
 
 
@@ -284,40 +292,36 @@ def _parse_affiliations(raw: str, path, line_no: int) -> tuple[tuple[int, str, s
 
 def _load_researchers(path: Path) -> dict[str, Researcher]:
     researchers: dict[str, Researcher] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, RESEARCHER_COLUMNS, path)
-        for row in reader:
-            line = reader.line_num
-            rid = (row["id"] or "").strip()
-            if not rid:
-                raise MalformedRecord(path, line, "id", "empty id")
-            if rid in researchers:
-                raise DuplicateId("researcher", rid)
-            try:
-                gender = Gender(row["gender"].strip())
-            except (AttributeError, ValueError):
-                raise MalformedRecord(path, line, "gender",
-                                      f"expected F or M, got {row.get('gender')!r}")
-            try:
-                rank = Rank(row["rank"].strip())
-            except (AttributeError, ValueError):
-                raise MalformedRecord(path, line, "rank",
-                                      f"expected AST, ASO or FUL, got {row.get('rank')!r}")
-            start = _parse_int(row["career_start_year"], path, line, "career_start_year")
-            end_raw = (row["career_end_year"] or "").strip()
-            end = _parse_int(end_raw, path, line, "career_end_year") if end_raw else None
-            researchers[rid] = Researcher(
-                id=rid,
-                gender=gender,
-                family_name=row["family_name"],
-                university_id=(row["university_id"] or "").strip(),
-                sds_id=(row["sds_id"] or "").strip(),
-                rank=rank,
-                career_start_year=start,
-                career_end_year=end,
-                affiliations=_parse_affiliations(row["affiliation_history"], path, line),
-            )
+    for line, row in _csv_rows(path, RESEARCHER_COLUMNS):
+        rid = (row["id"] or "").strip()
+        if not rid:
+            raise MalformedRecord(path, line, "id", "empty id")
+        if rid in researchers:
+            raise DuplicateId("researcher", rid)
+        try:
+            gender = Gender(row["gender"].strip())
+        except (AttributeError, ValueError):
+            raise MalformedRecord(path, line, "gender",
+                                  f"expected F or M, got {row.get('gender')!r}")
+        try:
+            rank = Rank(row["rank"].strip())
+        except (AttributeError, ValueError):
+            raise MalformedRecord(path, line, "rank",
+                                  f"expected AST, ASO or FUL, got {row.get('rank')!r}")
+        start = _parse_int(row["career_start_year"], path, line, "career_start_year")
+        end_raw = (row["career_end_year"] or "").strip()
+        end = _parse_int(end_raw, path, line, "career_end_year") if end_raw else None
+        researchers[rid] = Researcher(
+            id=rid,
+            gender=gender,
+            family_name=row["family_name"],
+            university_id=(row["university_id"] or "").strip(),
+            sds_id=(row["sds_id"] or "").strip(),
+            rank=rank,
+            career_start_year=start,
+            career_end_year=end,
+            affiliations=_parse_affiliations(row["affiliation_history"], path, line),
+        )
     return researchers
 
 
@@ -410,6 +414,26 @@ def _load_competitions(path: Path) -> dict[str, Competition]:
     return competitions
 
 
+def _load_utf8(loader, path: Path):
+    """``loader(path)``, with bytes that are not UTF-8 reported by line.
+
+    The text decoder fails a whole chunk ahead of the records parsed so far,
+    so only then is the file read again, line by line in binary, for the
+    first line that does not decode.
+    """
+    try:
+        return loader(path)
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise MalformedRecord(path, line_no, "-",
+                              f"invalid UTF-8: {exc.reason}") from None
+
+
 def load_corpus(
     paths: CorpusPaths | str | Path,
     productivity_window: tuple[int, int] = DEFAULT_PRODUCTIVITY_WINDOW,
@@ -417,7 +441,8 @@ def load_corpus(
 ) -> Corpus:
     """Load and cross-link a corpus from its four input files.
 
-    Raises MalformedRecord, DuplicateId, or DanglingReference. Unresolved
+    Raises MalformedRecord (also for bytes that are not UTF-8 and for
+    unreadable CSV), DuplicateId, or DanglingReference. Unresolved
     committee and taxonomy references are collected across the whole corpus
     and reported together rather than one at a time. Invariant violations
     that are data (not parse failures) are left to ``validate_corpus``.
@@ -428,10 +453,10 @@ def load_corpus(
         if not Path(p).exists():
             raise DataError(f"input file not found: {p}")
 
-    taxonomy = _load_taxonomy(Path(paths.taxonomy))
-    researchers = _load_researchers(Path(paths.researchers))
-    publications = _load_publications(Path(paths.publications))
-    competitions = _load_competitions(Path(paths.competitions))
+    taxonomy = _load_utf8(_load_taxonomy, Path(paths.taxonomy))
+    researchers = _load_utf8(_load_researchers, Path(paths.researchers))
+    publications = _load_utf8(_load_publications, Path(paths.publications))
+    competitions = _load_utf8(_load_competitions, Path(paths.competitions))
 
     dangling: list[tuple[str, str]] = []
     for r in researchers.values():
@@ -533,7 +558,14 @@ def _json_str(text: str | None) -> str:
 
 
 def write_corpus(corpus: Corpus, directory: str | Path) -> CorpusPaths:
-    """Write the corpus back to the four standard files; round-trips losslessly."""
+    """Write the corpus back to the four standard files.
+
+    ``load_corpus`` reads back what was written, with one exception that
+    ``json.dumps`` shares: a high surrogate followed by a low surrogate,
+    stored as two code points (e.g. the id ``'\\ud800\\udc80'``), is written
+    as two ``\\u`` escapes and read back as the one astral character they
+    encode.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = CorpusPaths.in_dir(directory)

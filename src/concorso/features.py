@@ -87,12 +87,13 @@ def filter_eligible(corpus: Corpus) -> EligibilityResult:
 class _Index:
     """Lookups shared by the competitions of one extraction call: surnames of
     full professors by university (one pass over researchers per year), and
-    per-researcher affiliation timelines and publication ids in the window.
+    per-researcher affiliation timelines and publication ids in the corpus's
+    collaboration window.
     """
 
-    def __init__(self, corpus: Corpus, window: tuple[int, int] | None) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
-        self.lo, self.hi = corpus.collaboration_window if window is None else window
+        self.lo, self.hi = corpus.collaboration_window
         self._names: dict[int, dict[str, set[str]]] = {}
         self._timelines: dict[str, tuple[tuple[str, str] | None, ...]] = {}
         self._pubs: dict[str, set[str]] = {}
@@ -136,13 +137,10 @@ def extract_features(
     comp: Competition,
     corpus: Corpus,
     scores: ScoreTable,
-    window: tuple[int, int] | None = None,
-    eligible: list[str] | None = None,
 ) -> list[ApplicantFeatures]:
     """Feature rows for one competition's eligible applicants, sorted by id."""
-    if eligible is None:
-        eligible = [a for a in comp.applicants if _is_eligible(corpus, comp, a)]
-    return _competition_rows(comp, _Index(corpus, window), scores, eligible)
+    eligible = [a for a in comp.applicants if _is_eligible(corpus, comp, a)]
+    return _competition_rows(comp, _Index(corpus), scores, eligible)
 
 
 def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
@@ -198,13 +196,12 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
 def extract_all(
     corpus: Corpus,
     scores: ScoreTable,
-    window: tuple[int, int] | None = None,
     eligibility: EligibilityResult | None = None,
 ) -> list[ApplicantFeatures]:
     """Features for every competition's eligible applicants, in fixed order."""
     if eligibility is None:
         eligibility = filter_eligible(corpus)
-    index = _Index(corpus, window)
+    index = _Index(corpus)
     rows = []
     for comp_id in sorted(corpus.competitions):
         rows.extend(_competition_rows(

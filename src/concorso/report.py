@@ -49,9 +49,9 @@ def stars(p: float | None) -> str:
     return ""
 
 
-def fmt(value, nd: int = 3, dash: str = "-") -> str:
+def fmt(value, nd: int = 3) -> str:
     if value is None:
-        return dash
+        return "-"
     if isinstance(value, float):
         return f"{value:.{nd}f}"
     return str(value)
@@ -99,7 +99,7 @@ def bias_table_dict(table: BiasTable) -> dict:
         "threshold": table.threshold,
         "n_competitions": table.n_competitions,
         "n_findings": table.n_findings,
-        "levels_p_i_only": table.levels_p_i_only,
+        "levels_p_i_only": False,  # levels cover every trigger
         "n_incidence_tests": sum(
             1 for r in table.rows if r.incidence_test is not None),
         "n_level_tests": sum(
@@ -158,9 +158,7 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
     out.append(_layout(grid))
     out.append("")
 
-    level_note = (" (P-i findings only)" if twin["levels_p_i_only"] else "")
-    out.append(f"Level of bias among flagged candidates{level_note}, "
-               "by gender and UDA")
+    out.append("Level of bias among flagged candidates, by gender and UDA")
     grid = [["UDA", "F avg", "F SD", "F max", "M avg", "M SD", "M max",
              "t", f"p ({sided})", "p (adj)"]]
     m_level = twin["n_level_tests"]

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Convention, Corpus, Researcher
+from .corpus import Convention, Corpus, Rank, Researcher
 from .errors import InvalidByline, NoCareerOverlap
 
 # Weights under the contribution-ordered convention.
@@ -52,13 +52,15 @@ class ProductivityScore:
     percentile: float | None = None
 
 
-def compute_baselines(corpus: Corpus, window: tuple[int, int]) -> BaselineTable:
-    """Mean citations per (year, category) cell, cited publications only.
+def compute_baselines(corpus: Corpus) -> BaselineTable:
+    """Mean citations per (year, category) cell, cited publications only,
+    over the corpus's productivity window.
 
     Zero-cited publications neither enter the mean nor create a cell, so
     every stored value is positive and cells with no cited publication are
     simply absent.
     """
+    window = corpus.productivity_window
     sums: dict[tuple[int, str], int] = {}
     counts: dict[tuple[int, str], int] = {}
     for pub in corpus.publications.values():
@@ -119,7 +121,7 @@ def publication_weights(
     weights[-1] = FIRST_LAST_DIFF_UNI
     weights[1] += SECOND_SLOT_DIFF_UNI
     weights[n - 2] += SECOND_SLOT_DIFF_UNI
-    others = [i for i in range(2, n - 2) if i != n - 2]
+    others = range(2, n - 2)
     if others:
         share = OTHERS_SHARE_DIFF_UNI / len(others)
         for i in others:
@@ -147,14 +149,15 @@ def compute_fss(
     researcher: Researcher,
     corpus: Corpus,
     baselines: BaselineTable,
-    window: tuple[int, int],
 ) -> ProductivityScore:
-    """Average yearly normalized fractional output inside the window.
+    """Average yearly normalized fractional output inside the corpus's
+    productivity window.
 
     Publications with zero citations, and publications whose baseline cell
     is absent, contribute nothing. Percentile is left unset; cohort ranking
     happens in ``score_corpus``.
     """
+    window = corpus.productivity_window
     t = researcher.career_years_in(window)
     if t == 0:
         raise NoCareerOverlap(
@@ -217,18 +220,17 @@ class ScoreTable:
         return None if score is None else score.fss
 
 
-def score_corpus(corpus: Corpus, window: tuple[int, int] | None = None) -> ScoreTable:
+def score_corpus(corpus: Corpus) -> ScoreTable:
     """Score every roster researcher and rank within SDS × rank cohorts."""
-    if window is None:
-        window = corpus.productivity_window
-    baselines = compute_baselines(corpus, window)
-    table = ScoreTable(window=window, n_baseline_cells=len(baselines))
+    baselines = compute_baselines(corpus)
+    table = ScoreTable(window=corpus.productivity_window,
+                       n_baseline_cells=len(baselines))
 
     cohorts: dict[tuple[str, str], list[str]] = {}
     for rid in sorted(corpus.researchers):
         researcher = corpus.researchers[rid]
         try:
-            score = compute_fss(researcher, corpus, baselines, window)
+            score = compute_fss(researcher, corpus, baselines)
         except NoCareerOverlap:
             table.skipped.append(rid)
             continue
@@ -242,12 +244,12 @@ def score_corpus(corpus: Corpus, window: tuple[int, int] | None = None) -> Score
     return table
 
 
-def median_fss_by_sds(table: ScoreTable, corpus: Corpus, rank="AST") -> dict[str, float]:
+def median_fss_by_sds(table: ScoreTable, corpus: Corpus) -> dict[str, float]:
     """Median raw score per SDS over the assistant-professor cohort."""
     by_sds: dict[str, list[float]] = {}
     for rid, score in table.scores.items():
         researcher = corpus.researchers[rid]
-        if researcher.rank.value == rank:
+        if researcher.rank is Rank.ASSISTANT:
             by_sds.setdefault(researcher.sds_id, []).append(score.fss)
     medians = {}
     for sds, values in by_sds.items():
@@ -271,7 +273,7 @@ def write_scores(table: ScoreTable, corpus: Corpus, path: str | Path) -> None:
             ])
 
 
-def score_meta(table: ScoreTable, corpus: Corpus) -> dict:
+def score_meta(table: ScoreTable) -> dict:
     return {
         "window": list(table.window),
         "n_scored": len(table.scores),
@@ -285,7 +287,7 @@ def score_meta(table: ScoreTable, corpus: Corpus) -> dict:
     }
 
 
-def write_score_meta(table: ScoreTable, corpus: Corpus, path: str | Path) -> None:
+def write_score_meta(table: ScoreTable, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(score_meta(table, corpus), fh, indent=2)
+        json.dump(score_meta(table), fh, indent=2)
         fh.write("\n")

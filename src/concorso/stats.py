@@ -203,18 +203,15 @@ def _is_binary(column: np.ndarray) -> bool:
     return bool(np.all((column == 0.0) | (column == 1.0)))
 
 
-def fit_logit(
-    design: DesignMatrix,
-    max_iter: int = MAX_ITERATIONS,
-    small_sample_correction: bool = True,
-) -> RegressionResult:
-    """Maximum-likelihood logit via Newton iterations with step-halving.
+def fit_logit(design: DesignMatrix) -> RegressionResult:
+    """Maximum-likelihood logit via Newton iterations with step-halving, at
+    most ``MAX_ITERATIONS`` of them.
 
     Standard errors come from the cluster-robust sandwich: the inverse
     observed information as bread, the outer product of within-cluster score
-    sums as meat, scaled by G/(G-1) unless ``small_sample_correction`` is
-    turned off. The joint Wald test covers every non-intercept coefficient
-    under that same covariance.
+    sums as meat, scaled by the small-sample factor G/(G-1) for G clusters.
+    The joint Wald test covers every non-intercept coefficient under that
+    same covariance.
     """
     X, y = design.X, design.y
     n, k = X.shape
@@ -231,7 +228,7 @@ def fit_logit(
     ll = _log_likelihood(eta, y)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         p = _sigmoid(eta)
         score = X.T @ (y - p)
         if float(np.abs(score).max()) < SCORE_TOL:
@@ -264,7 +261,7 @@ def fit_logit(
             break
         ll = ll_new
     if not converged:
-        raise Nonconvergence(f"no convergence in {max_iter} iterations")
+        raise Nonconvergence(f"no convergence in {MAX_ITERATIONS} iterations")
 
     p = _sigmoid(eta)
     w = p * (1.0 - p)
@@ -278,8 +275,7 @@ def fit_logit(
     cluster_scores = np.zeros((n_clusters, k))
     np.add.at(cluster_scores, inverse, X * (y - p)[:, None])
     meat = cluster_scores.T @ cluster_scores
-    if small_sample_correction:
-        meat *= n_clusters / (n_clusters - 1)
+    meat *= n_clusters / (n_clusters - 1)
     cov = bread @ meat @ bread
     se = np.sqrt(np.diag(cov))
 

@@ -22,6 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    DEFAULT_COLLABORATION_WINDOW,
+    DEFAULT_PRODUCTIVITY_WINDOW,
     BylineEntry,
     Competition,
     Convention,
@@ -40,6 +42,14 @@ from .features import MIN_CAREER_YEARS, extract_all, extract_features  # noqa: F
 from .scoring import score_corpus
 
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
+
+PUBLICATION_INTENSITY = 1.2   # mean publications per career year
+CITATION_MEAN = 4.0
+CITATION_DISPERSION = 1.0     # gamma shape mixing the Poisson rate
+CONTRIBUTION_SHARE = 0.5      # fraction of fields ordering by contribution
+COAUTHOR_FULL_RATE = 0.35     # chance a publication adds local full professors
+COAUTHOR_PEER_RATE = 0.30     # chance it adds a same-field colleague
+COMPETITION_YEAR = 2008
 
 
 @dataclass
@@ -62,22 +72,14 @@ class GenConfig:
     n_universities: int = 6
     researchers_per_sds: int = 40
     female_share: float = 0.45
-    publication_intensity: float = 1.2     # mean publications per career year
-    citation_mean: float = 4.0
-    citation_dispersion: float = 1.0       # gamma shape mixing the Poisson rate
     surname_pool: int = 40                 # smaller pool = more surname collisions
-    committee_rule: str = "host"           # president from the hiring university
     weights: LatentWeights = field(default_factory=LatentWeights)
     competitions_per_sds: int = 6
     winners_per_competition: int = 1
     applicants_per_competition: int = 8
     mobility_rate: float = 0.10            # chance of one mid-window move
-    contribution_share: float = 0.5        # fraction of fields ordering by contribution
-    coauthor_full_rate: float = 0.35       # chance a publication adds local full professors
-    coauthor_peer_rate: float = 0.30       # chance it adds a same-field colleague
-    competition_year: int = 2008
-    productivity_window: tuple[int, int] = (2004, 2008)
-    collaboration_window: tuple[int, int] = (2001, 2010)
+    productivity_window: tuple[int, int] = DEFAULT_PRODUCTIVITY_WINDOW
+    collaboration_window: tuple[int, int] = DEFAULT_COLLABORATION_WINDOW
 
 
 @dataclass
@@ -124,14 +126,8 @@ def validate_config(cfg: GenConfig) -> None:
             "full and committee-eligible professors; need at least 2")
     if not 0.0 <= cfg.female_share <= 1.0:
         bad(f"female_share must lie in [0,1], got {cfg.female_share}")
-    if cfg.publication_intensity < 0:
-        bad("publication_intensity must be >= 0")
-    if cfg.citation_mean <= 0 or cfg.citation_dispersion <= 0:
-        bad("citation_mean and citation_dispersion must be > 0")
     if cfg.surname_pool < 1:
         bad("surname_pool must be >= 1")
-    if cfg.committee_rule not in ("host", "any"):
-        bad(f"unknown committee_rule {cfg.committee_rule!r}")
     if cfg.winners_per_competition not in (1, 2):
         bad(f"winners_per_competition must be 1 or 2, "
             f"got {cfg.winners_per_competition}")
@@ -141,8 +137,6 @@ def validate_config(cfg: GenConfig) -> None:
         bad("competitions_per_sds must be >= 1")
     if not 0.0 <= cfg.mobility_rate <= 1.0:
         bad("mobility_rate must lie in [0,1]")
-    if not 0.0 <= cfg.contribution_share <= 1.0:
-        bad("contribution_share must lie in [0,1]")
     if cfg.weights.noise_sd < 0:
         bad("noise_sd must be >= 0")
     for window in (cfg.productivity_window, cfg.collaboration_window):
@@ -184,13 +178,13 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
         sds_id = f"S{i + 1:02d}"
         sds_ids.append(sds_id)
         convention = (Convention.CONTRIBUTION
-                      if rng.random() < cfg.contribution_share
+                      if rng.random() < CONTRIBUTION_SHARE
                       else Convention.ALPHABETICAL)
         corpus.taxonomy[sds_id] = SdsRecord(sds_id, f"A{i // 2 + 1:02d}", convention)
 
     n_full, n_aso, n_ast = _rank_split(cfg.researchers_per_sds)
     guaranteed_eligible = cfg.winners_per_competition + 1
-    latest_eligible_start = cfg.competition_year - MIN_CAREER_YEARS
+    latest_eligible_start = COMPETITION_YEAR - MIN_CAREER_YEARS
 
     fulls: dict[str, list[str]] = {s: [] for s in sds_ids}
     assistants: dict[str, list[str]] = {s: [] for s in sds_ids}
@@ -254,15 +248,15 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
             researcher = corpus.researchers[rid]
             full_pool = [f for f in fulls[sds_id] if f != rid]
             for year in range(max(year_lo, researcher.career_start_year), year_hi + 1):
-                for _ in range(int(rng.poisson(cfg.publication_intensity))):
+                for _ in range(int(rng.poisson(PUBLICATION_INTENSITY))):
                     pub_counter += 1
                     authors = [rid]
-                    if rng.random() < cfg.coauthor_full_rate:
+                    if rng.random() < COAUTHOR_FULL_RATE:
                         take = min(len(full_pool), int(rng.integers(1, 3)))
                         if take:
                             picks = rng.choice(len(full_pool), size=take, replace=False)
                             authors.extend(full_pool[p] for p in sorted(picks))
-                    if rng.random() < cfg.coauthor_peer_rate:
+                    if rng.random() < COAUTHOR_PEER_RATE:
                         # every author so far is a distinct peer of this field
                         n_free = len(field_peers) - len(authors)
                         if n_free:
@@ -283,8 +277,8 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                             uni = (None if rng.random() < 0.5 else
                                    universities[int(rng.integers(0, cfg.n_universities))])
                         byline.append(BylineEntry(author, uni))
-                    rate = rng.gamma(cfg.citation_dispersion,
-                                     cfg.citation_mean / cfg.citation_dispersion)
+                    rate = rng.gamma(CITATION_DISPERSION,
+                                     CITATION_MEAN / CITATION_DISPERSION)
                     corpus.publications[f"p{pub_counter:06d}"] = Publication(
                         id=f"p{pub_counter:06d}", year=year,
                         subject_category_id=f"{sds_id}:c{int(rng.integers(1, 3))}",
@@ -307,16 +301,14 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
         # full professors by university in the competition year, in pool order
         local_fulls: dict[str, list[str]] = {}
         for f in pool:
-            affiliation = corpus.researchers[f].affiliation_in(cfg.competition_year)
+            affiliation = corpus.researchers[f].affiliation_in(COMPETITION_YEAR)
             if affiliation is not None:
                 local_fulls.setdefault(affiliation[0], []).append(f)
         for c in range(cfg.competitions_per_sds):
             comp_id = f"c-{sds_id}-{c + 1:02d}"
             comp_uni = universities[int(rng.integers(0, cfg.n_universities))]
-            if cfg.committee_rule == "host":
-                president_pool = local_fulls.get(comp_uni) or pool
-            else:
-                president_pool = pool
+            # the president comes from the hiring university when it has one
+            president_pool = local_fulls.get(comp_uni) or pool
             president = president_pool[int(rng.integers(0, len(president_pool)))]
             rest = [f for f in pool if f != president]
             picks = rng.choice(len(rest), size=4, replace=False)
@@ -334,7 +326,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                 applicants.extend(leftover[p] for p in sorted(picks))
             corpus.competitions[comp_id] = Competition(
                 id=comp_id, sds_id=sds_id, university_id=comp_uni,
-                year=cfg.competition_year, president=president,
+                year=COMPETITION_YEAR, president=president,
                 members=members, applicants=sorted(applicants), winners=[])
 
     # phase two: score the provisional corpus and select winners; extraction
@@ -393,9 +385,3 @@ def generate_to_dir(cfg: GenConfig, directory: str | Path) -> tuple[Corpus, Grou
     paths = write_corpus(corpus, directory)
     write_ground_truth(truth, directory)
     return corpus, truth, paths
-
-
-def merit_only_config(seed: int = 0, **overrides) -> GenConfig:
-    """Convenience: selection by merit percentile alone, no noise."""
-    overrides.pop("weights", None)
-    return GenConfig(seed=seed, weights=LatentWeights(merit=1.0), **overrides)

@@ -325,7 +325,7 @@ def test_aggregate_bonferroni_family_size():
         assert t.p_bonferroni == min(1.0, m * t.p_two_sided)
 
 
-def test_aggregate_levels_p_i_only_flag():
+def test_aggregate_levels_include_p_ii_only_findings():
     corpus = audit_corpus()
     features = [
         row("c1", "w1", 1, 30, raw=0.5, female=1),  # P-ii only, F = -15
@@ -338,10 +338,6 @@ def test_aggregate_levels_p_i_only_flag():
     everything = aggregate_bias(findings, features, corpus, BiasKind.POSITIVE)
     assert everything.overall.female.n_flagged == 2
     assert everything.overall.female.level_mean == pytest.approx((60.0 - 15.0) / 2)
-    restricted = aggregate_bias(findings, features, corpus, BiasKind.POSITIVE,
-                                levels_p_i_only=True)
-    assert restricted.overall.female.n_flagged == 2   # counts unchanged
-    assert restricted.overall.female.level_mean == 60.0
 
 
 def test_aggregate_welch_flag_changes_df():

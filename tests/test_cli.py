@@ -3,19 +3,26 @@
 import csv
 import gc
 import hashlib
+import io
 import json
 import math
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from concorso.bias import detect_all
 from concorso.corpus import Corpus, load_corpus, write_corpus
 from concorso import cli
 from concorso.cli import main, parse_window
 from concorso.errors import ConfigError
-from concorso.features import extract_all, write_features
+from concorso.features import extract_all, filter_eligible, write_features
 from concorso.report import fmt, render_regression, regression_dict, stars
 from concorso.scoring import median_fss_by_sds, score_corpus
 
@@ -175,6 +182,24 @@ def test_window_flags_propagate(tmp_path, capsys):
     meta = json.loads((out_dir / "score_meta.json").read_text())
     assert tuple(meta["window"]) == (2005, 2007)
 
+    # the collaboration window reaches the features; publications must fall
+    # inside the corpus years, so this corpus is made with the narrow window
+    corpus_dir = tmp_path / "narrow"
+    assert run_gen(corpus_dir, "--seed", "1", "--w-cp", "6", "--noise-sd", "8",
+                   "--window-collab", "2005:2008", small=False) == 0
+    features = {}
+    for name, flags in (("default", []),
+                        ("narrow", ["--window-collab", "2005:2008"])):
+        assert main(["report", "--input-dir", str(corpus_dir),
+                     "--out-dir", str(tmp_path / name), *flags]) == 0
+        features[name] = (tmp_path / name / "features.csv").read_bytes()
+    capsys.readouterr()
+    corpus = load_corpus(corpus_dir, collaboration_window=(2005, 2008))
+    write_features(extract_all(corpus, score_corpus(corpus)),
+                   tmp_path / "direct.csv")
+    assert features["narrow"] == (tmp_path / "direct.csv").read_bytes()
+    assert features["narrow"] != features["default"]
+
 
 def test_threshold_flag_propagates(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
@@ -198,7 +223,9 @@ def test_threshold_flag_propagates(tmp_path, capsys):
     table = score_corpus(corpus)
     rows = extract_all(corpus, table)
     medians = median_fss_by_sds(table, corpus)
-    direct = detect_all(rows, corpus, medians, threshold=30.0)
+    direct = detect_all(rows, corpus, medians,
+                        filter_eligible(corpus).retained_competitions,
+                        threshold=30.0)
     exported = {(r["competition_id"], r["researcher_id"], r["kind"])
                 for r in findings_at["30"]}
     assert exported == {(f.competition_id, f.researcher_id, f.kind.value)
@@ -397,6 +424,44 @@ def test_one_load_score_extract_per_run(golden_corpus, tmp_path, monkeypatch,
                      "--out-dir", str(tmp_path / command)]) == 0
         assert calls == {"load_corpus": 1, "score_corpus": 1,
                          "extract_all": extractions}, command
+
+
+CORPUS_FILES = ("taxonomy.csv", "researchers.csv", "publications.jsonl",
+                "competitions.jsonl")
+
+
+@settings(max_examples=100, deadline=None)
+@example(name="taxonomy.csv", op="replace", at=0.5, byte=0xff)
+@example(name="researchers.csv", op="insert", at=0.3, byte=0xe9)
+@example(name="publications.jsonl", op="replace", at=0.9, byte=0x80)
+@example(name="competitions.jsonl", op="insert", at=0.0, byte=0xc3)
+@given(name=st.sampled_from(CORPUS_FILES),
+       op=st.sampled_from(("replace", "insert", "delete")),
+       at=st.floats(0.0, 1.0, exclude_max=True),
+       byte=st.integers(0, 255))
+def test_report_on_any_byte_edit_exits_cleanly(golden_corpus, name, op, at,
+                                                byte):
+    # one byte replaced, inserted or deleted in one input file: report ends
+    # with an exit code, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = Path(tmp) / "corpus"
+        shutil.copytree(golden_corpus, corpus_dir)
+        path = corpus_dir / name
+        data = path.read_bytes()
+        assert data.isascii()
+        pos = int(at * len(data))
+        tail = data[pos + 1:] if op in ("replace", "delete") else data[pos:]
+        path.write_bytes(data[:pos] + (b"" if op == "delete" else bytes([byte]))
+                         + tail)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["report", "--input-dir", str(corpus_dir),
+                         "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), err.getvalue()
+    if op != "delete" and byte >= 0x80:  # not UTF-8 in an ASCII file
+        line = data[:pos].count(b"\n") + 1
+        assert code == 1
+        assert f"{name}:{line}:" in err.getvalue()
 
 
 def test_gen_and_report_golden_hashes_at_m(tmp_path, capsys):

@@ -248,6 +248,34 @@ def test_missing_file_is_data_error(tmp_path):
         load_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("name, line", [
+    ("taxonomy.csv", 3), ("researchers.csv", 1),
+    ("publications.jsonl", 2), ("competitions.jsonl", 1)])
+def test_invalid_utf8_names_file_and_line(tmp_path, name, line):
+    write_inputs(tmp_path, researchers=THREE_RESEARCHERS,
+                 publications=TWO_PUBLICATIONS, competitions="\n")
+    path = tmp_path / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xe9" + lines[line - 1]  # Latin-1, not UTF-8
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(tmp_path)
+    assert err.value.path == str(path)
+    assert err.value.line_no == line
+    assert "invalid UTF-8" in str(err.value)
+
+
+def test_unreadable_csv_names_file_and_line(tmp_path):
+    huge = '"' + "x" * 200_000 + '"'  # past csv.field_size_limit()
+    write_inputs(tmp_path, researchers=THREE_RESEARCHERS
+                 + f"r4,F,{huge},U1,MAT-05,AST,2000,,\n")
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(tmp_path)
+    assert err.value.path == str(tmp_path / "researchers.csv")
+    assert err.value.line_no == 5
+    assert "invalid CSV" in str(err.value)
+
+
 def make_validation_fixture(tmp_path):
     researchers = (
         "r1,F,Rossi,U1,MAT-05,AST,2000,,\n"

@@ -466,13 +466,14 @@ def indexed_rows(rows):
 
 
 def assert_index_matches_reference(corpus, window):
+    corpus.collaboration_window = window
     scores = default_scores(corpus)
-    rows = extract_all(corpus, scores, window=window)
+    rows = extract_all(corpus, scores)
     assert indexed_rows(rows) == reference_rows(corpus, window)
     # the single-competition entry point builds its own index
     single = [row for cid in sorted(corpus.competitions)
               for row in extract_features(corpus.competitions[cid], corpus,
-                                          scores, window=window)]
+                                          scores)]
     assert single == rows
 
 

@@ -61,7 +61,7 @@ def pub(pid, year, category, citations, byline):
 def test_baseline_single_cited_pub():
     corpus = make_corpus(publications=[
         pub("p1", 2005, "X", 10, entries("U1"))])
-    table = compute_baselines(corpus, (2004, 2008))
+    table = compute_baselines(corpus)
     assert table.get(2005, "X") == 10.0
 
 
@@ -70,7 +70,7 @@ def test_baseline_excludes_zero_cited():
         pub("p1", 2005, "X", 0, entries("U1")),
         pub("p2", 2005, "X", 4, entries("U1")),
         pub("p3", 2005, "X", 8, entries("U1"))])
-    table = compute_baselines(corpus, (2004, 2008))
+    table = compute_baselines(corpus)
     assert table.get(2005, "X") == 6.0
 
 
@@ -78,7 +78,7 @@ def test_baseline_all_zero_cell_absent():
     corpus = make_corpus(publications=[
         pub("p1", 2005, "X", 0, entries("U1")),
         pub("p2", 2005, "X", 0, entries("U1"))])
-    table = compute_baselines(corpus, (2004, 2008))
+    table = compute_baselines(corpus)
     assert table.get(2005, "X") is None
     assert len(table) == 0
 
@@ -89,7 +89,7 @@ def test_baseline_cells_split_by_year_and_category():
         pub("p2", 2005, "Y", 8, entries("U1")),
         pub("p3", 2006, "X", 4, entries("U1")),
         pub("p4", 2009, "X", 100, entries("U1"))])  # outside window
-    table = compute_baselines(corpus, (2004, 2008))
+    table = compute_baselines(corpus)
     assert table.get(2005, "X") == 2.0
     assert table.get(2005, "Y") == 8.0
     assert table.get(2006, "X") == 4.0
@@ -174,8 +174,8 @@ def test_weight_closure_random_bylines():
 def test_fss_unity_case():
     r1 = researcher("r1", start=2008)
     corpus = make_corpus([r1], [pub("p1", 2008, "X", 7, [BylineEntry("r1", "U1")])])
-    baselines = compute_baselines(corpus, (2004, 2008))
-    score = compute_fss(r1, corpus, baselines, (2004, 2008))
+    baselines = compute_baselines(corpus)
+    score = compute_fss(r1, corpus, baselines)
     assert score.t == 1
     assert score.n_pubs == 1
     assert score.fss == 1.0
@@ -184,7 +184,7 @@ def test_fss_unity_case():
 def test_fss_no_publications():
     r1 = researcher("r1")
     corpus = make_corpus([r1])
-    score = compute_fss(r1, corpus, BaselineTable(), (2004, 2008))
+    score = compute_fss(r1, corpus, BaselineTable())
     assert score.fss == 0.0
     assert score.t == 5
     assert score.n_pubs == 0
@@ -201,10 +201,10 @@ def test_fss_worked_example():
                                  BylineEntry("e2", "U2"), BylineEntry("e3", "U2")]),
     ]
     corpus = make_corpus([r1], pubs)
-    baselines = compute_baselines(corpus, (2004, 2008))
+    baselines = compute_baselines(corpus)
     assert baselines.get(2005, "X") == 6.0
     assert baselines.get(2006, "Y") == 3.0
-    score = compute_fss(r1, corpus, baselines, (2004, 2008))
+    score = compute_fss(r1, corpus, baselines)
     assert score.fss == 0.25
     assert score.n_pubs == 2
 
@@ -214,8 +214,8 @@ def test_fss_zero_cited_contributes_nothing():
     corpus = make_corpus([r1], [
         pub("p1", 2005, "X", 0, [BylineEntry("r1", "U1")]),
         pub("p2", 2005, "X", 5, [BylineEntry("e1", "U2")])])
-    baselines = compute_baselines(corpus, (2004, 2008))
-    score = compute_fss(r1, corpus, baselines, (2004, 2008))
+    baselines = compute_baselines(corpus)
+    score = compute_fss(r1, corpus, baselines)
     assert score.fss == 0.0
     assert score.n_pubs == 1
 
@@ -223,7 +223,7 @@ def test_fss_zero_cited_contributes_nothing():
 def test_fss_missing_baseline_cell_contributes_nothing():
     r1 = researcher("r1")
     corpus = make_corpus([r1], [pub("p1", 2005, "X", 9, [BylineEntry("r1", "U1")])])
-    score = compute_fss(r1, corpus, BaselineTable(), (2004, 2008))
+    score = compute_fss(r1, corpus, BaselineTable())
     assert score.fss == 0.0
 
 
@@ -232,8 +232,8 @@ def test_fss_outside_window_ignored():
     corpus = make_corpus([r1], [
         pub("p1", 2003, "X", 9, [BylineEntry("r1", "U1")]),
         pub("p2", 2009, "X", 9, [BylineEntry("r1", "U1")])])
-    baselines = compute_baselines(corpus, (2004, 2008))
-    score = compute_fss(r1, corpus, baselines, (2004, 2008))
+    baselines = compute_baselines(corpus)
+    score = compute_fss(r1, corpus, baselines)
     assert score.fss == 0.0
     assert score.n_pubs == 0
 
@@ -242,7 +242,7 @@ def test_fss_requires_career_overlap():
     r1 = researcher("r1", start=2010)
     corpus = make_corpus([r1])
     with pytest.raises(NoCareerOverlap):
-        compute_fss(r1, corpus, BaselineTable(), (2004, 2008))
+        compute_fss(r1, corpus, BaselineTable())
 
 
 def test_fss_monotone_in_added_cited_pub_fixed_baselines():
@@ -261,11 +261,10 @@ def test_fss_monotone_in_added_cited_pub_fixed_baselines():
                 byline[0] = BylineEntry("r1", "U1")
             year, cat = (2005, "X") if rng.random() < 0.5 else (2006, "Y")
             pubs.append(pub(f"p{j}", year, cat, int(rng.poisson(3)), byline))
-        before = compute_fss(r1, make_corpus([r1], pubs), baselines, (2004, 2008)).fss
+        before = compute_fss(r1, make_corpus([r1], pubs), baselines).fss
         extra = pub("pnew", 2005, "X", int(rng.integers(1, 20)),
                     [BylineEntry("r1", "U1"), BylineEntry("e9", "U2")])
-        after = compute_fss(r1, make_corpus([r1], pubs + [extra]), baselines,
-                            (2004, 2008)).fss
+        after = compute_fss(r1, make_corpus([r1], pubs + [extra]), baselines).fss
         assert after >= before
 
 
@@ -335,8 +334,8 @@ def random_corpus(rng, conv=ALPHA):
 def test_citation_scaling_invariance(conv):
     rng = np.random.default_rng(17)
     corpus = random_corpus(rng, conv)
-    base = score_corpus(corpus, (2004, 2008))
-    scaled = score_corpus(scaled_copy(corpus, 3), (2004, 2008))
+    base = score_corpus(corpus)
+    scaled = score_corpus(scaled_copy(corpus, 3))
     assert sorted(base.scores) == sorted(scaled.scores)
     for rid, score in base.scores.items():
         other = scaled.scores[rid]
@@ -352,7 +351,7 @@ def test_score_corpus_cohorts_are_sds_by_rank():
     r2 = researcher("r2", rank=Rank.FULL)
     r3 = researcher("r3", sds="S2", rank=Rank.ASSISTANT)
     corpus = make_corpus([r1, r2, r3], conventions={"S1": ALPHA, "S2": ALPHA})
-    table = score_corpus(corpus, (2004, 2008))
+    table = score_corpus(corpus)
     # every researcher sits alone in their cohort, so all rank at the top
     assert [table.scores[r].percentile for r in ("r1", "r2", "r3")] == [100.0] * 3
 
@@ -361,7 +360,7 @@ def test_score_corpus_skips_no_overlap():
     r1 = researcher("r1")
     r2 = researcher("r2", start=2011)
     corpus = make_corpus([r1, r2])
-    table = score_corpus(corpus, (2004, 2008))
+    table = score_corpus(corpus)
     assert "r2" not in table.scores
     assert table.skipped == ["r2"]
 
@@ -371,7 +370,7 @@ def test_median_fss_by_sds():
         [researcher("r1"), researcher("r2"), researcher("r3"),
          researcher("r4", rank=Rank.FULL)],
         conventions={"S1": ALPHA})
-    table = score_corpus(corpus, (2004, 2008))
+    table = score_corpus(corpus)
     table.scores["r1"].fss = 1.0
     table.scores["r2"].fss = 3.0
     table.scores["r3"].fss = 2.0
@@ -385,7 +384,7 @@ def test_median_fss_by_sds():
 def test_write_scores_round_trip(tmp_path):
     rng = np.random.default_rng(23)
     corpus = random_corpus(rng)
-    table = score_corpus(corpus, (2004, 2008))
+    table = score_corpus(corpus)
     path = tmp_path / "scores.csv"
     write_scores(table, corpus, path)
     lines = path.read_text().strip().split("\n")

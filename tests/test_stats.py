@@ -9,6 +9,7 @@ import pytest
 import scipy.optimize
 import scipy.stats
 
+from concorso import stats
 from concorso.errors import (
     DegenerateInput,
     Nonconvergence,
@@ -215,15 +216,21 @@ def test_logit_singleton_clusters_reduce_to_hc0():
     assert np.abs(ours - expected_se).max() < 1e-12
 
 
-def test_logit_no_small_sample_correction_flag():
+def test_logit_small_sample_correction_at_25_clusters():
     rng = np.random.default_rng(37)
     X, y, clusters = logit_sample(rng, 100, [0.0, 0.5], cluster_size=4)
-    with_corr = fit_logit(make_design(X, y, clusters))
-    without = fit_logit(make_design(X, y, clusters), small_sample_correction=False)
+    result = fit_logit(make_design(X, y, clusters))
+    beta = np.array([c.b for c in result.coefficients])
+    p = 1.0 / (1.0 + np.exp(-(X @ beta)))
+    bread = np.linalg.inv(X.T @ (X * (p * (1 - p))[:, None]))
     g = 25
-    factor = math.sqrt(g / (g - 1))
-    for a, b in zip(with_corr.coefficients, without.coefficients):
-        assert abs(a.se - b.se * factor) < 1e-12
+    scores = np.array([X[clusters == k].T @ (y - p)[clusters == k]
+                       for k in range(g)])
+    cov = bread @ (scores.T @ scores) @ bread * (g / (g - 1))
+    assert result.n_clusters == g
+    assert np.abs(result.covariance - cov).max() < 1e-12
+    for c, s in zip(result.coefficients, np.sqrt(np.diag(cov))):
+        assert abs(c.se - s) < 1e-12
 
 
 def test_logit_column_scaling_invariance():
@@ -313,11 +320,12 @@ def test_logit_single_class_rejected():
         fit_logit(make_design(X, np.ones(20)))
 
 
-def test_logit_iteration_cap():
+def test_logit_iteration_cap(monkeypatch):
     rng = np.random.default_rng(67)
     X, y, _ = logit_sample(rng, 100, [0.4, -0.8])
-    with pytest.raises(Nonconvergence):
-        fit_logit(make_design(X, y), max_iter=1)
+    monkeypatch.setattr(stats, "MAX_ITERATIONS", 1)
+    with pytest.raises(Nonconvergence, match="in 1 iterations"):
+        fit_logit(make_design(X, y))
 
 
 def test_logit_needs_two_clusters():

@@ -13,12 +13,12 @@ from concorso.errors import InfeasibleConfig
 from concorso.features import MIN_CAREER_YEARS, filter_eligible
 from concorso.scoring import score_corpus
 from concorso.synthgen import (
+    COMPETITION_YEAR,
     GenConfig,
     _nth_free,
     LatentWeights,
     generate,
     generate_to_dir,
-    merit_only_config,
     validate_config,
 )
 
@@ -70,7 +70,7 @@ def test_generated_corpora_validate_clean():
 
 def test_merit_only_selection_matches_merit_winners():
     for seed in (0, 1, 2, 3):
-        corpus, truth = generate(merit_only_config(seed=seed, **SMALL))
+        corpus, truth = generate(GenConfig(seed=seed, **SMALL))  # merit only
         assert truth.injected_fraction == 0.0
         for t in truth.competitions.values():
             assert t.selected_winners == t.merit_winners
@@ -79,7 +79,7 @@ def test_merit_only_selection_matches_merit_winners():
 
 
 def test_merit_only_latent_equals_percentile():
-    cfg = merit_only_config(seed=4, **SMALL)
+    cfg = GenConfig(seed=4, **SMALL)  # merit only, no noise
     corpus, truth = generate(cfg)
     unselected = {c.id: c for c in corpus.competitions.values()}
     for comp_id, t in truth.competitions.items():
@@ -175,7 +175,7 @@ def test_assistant_career_starts_span_twelve_years():
     starts = {r.career_start_year for r in corpus.researchers.values()
               if r.rank is Rank.ASSISTANT}
     assert max(starts) - min(starts) >= 11
-    assert any(s > cfg.competition_year - MIN_CAREER_YEARS for s in starts)
+    assert any(s > COMPETITION_YEAR - MIN_CAREER_YEARS for s in starts)
 
 
 def test_publication_years_inside_corpus_range():
@@ -214,13 +214,8 @@ def test_infeasible_configs_rejected():
         dict(winners_per_competition=3),
         dict(applicants_per_competition=1),
         dict(competitions_per_sds=0),
-        dict(citation_mean=0.0),
-        dict(citation_dispersion=-1.0),
-        dict(publication_intensity=-0.5),
         dict(surname_pool=0),
-        dict(committee_rule="rotate"),
         dict(mobility_rate=2.0),
-        dict(contribution_share=-0.1),
         dict(productivity_window=(2008, 2004)),
         dict(weights=LatentWeights(noise_sd=-1.0)),
     ]

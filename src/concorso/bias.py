@@ -17,7 +17,7 @@ Threshold comparisons are non-strict; ties at the cohort median count as
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -151,38 +151,6 @@ def detect_all(
 # aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GenderCell:
-    n_flagged: int = 0
-    n_applicants: int = 0
-    share: float | None = None
-    level_mean: float | None = None
-    level_sd: float | None = None   # None when fewer than 2 levels
-    level_max: float | None = None
-    corr_r: float | None = None
-    corr_p: float | None = None
-    corr_p_adj: float | None = None
-
-
-@dataclass
-class UdaRow:
-    uda: str
-    female: GenderCell = field(default_factory=GenderCell)
-    male: GenderCell = field(default_factory=GenderCell)
-    incidence_test: TestResult | None = None
-    level_test: TestResult | None = None
-
-
-@dataclass
-class BiasTable:
-    kind: BiasKind
-    threshold: float
-    rows: list[UdaRow]
-    overall: UdaRow
-    n_competitions: int
-    n_findings: int
-
-
 def _mean(xs) -> float:
     return sum(xs) / len(xs)
 
@@ -195,98 +163,133 @@ def _sd(xs) -> float | None:
     return (sum((x - m) ** 2 for x in xs) / (n - 1)) ** 0.5
 
 
-def _fill_levels(cell: GenderCell, levels) -> None:
-    if levels:
-        cell.level_mean = _mean(levels)
-        cell.level_sd = _sd(levels)
-        cell.level_max = max(levels)
+def _test_dict(test: TestResult | None) -> dict | None:
+    if test is None:
+        return None
+    return {
+        "statistic": test.statistic,
+        "df": test.df,
+        "p_one_sided": test.p_one_sided,
+        "p_two_sided": test.p_two_sided,
+        "p_bonferroni": test.p_bonferroni,
+    }
 
 
-def _fill_correlation(cell: GenderCell, rows) -> None:
+def _t_test(female, male, welch: bool) -> dict | None:
     try:
-        res = pearson([r.merit_pct for r in rows], [r.won for r in rows])
+        return _test_dict(two_sample_t(female, male, pooled=not welch))
     except DegenerateInput:
-        return
-    cell.corr_r = res.r
-    cell.corr_p = res.p_two_sided
+        return None
+
+
+def _correlation(rows) -> dict:
+    """The merit-vs-outcome cell fields, which no bias kind changes."""
+    corr = {"corr_r": None, "corr_p": None, "corr_p_adj": None}
+    if len(rows) >= 3:
+        try:
+            res = pearson([r.merit_pct for r in rows], [r.won for r in rows])
+            corr["corr_r"], corr["corr_p"] = res.r, res.p_two_sided
+        except DegenerateInput:
+            pass
+    return corr
+
+
+def _adjust(tests) -> int:
+    """Bonferroni-adjust the computable tests of one per-UDA family in
+    place; returns the family size."""
+    tested = [t for t in tests if t is not None]
+    for t in tested:
+        t["p_bonferroni"] = bonferroni([t["p_two_sided"]], len(tested))[0]
+    return len(tested)
+
+
+def _bias_twin(kind: BiasKind, findings, split, n_competitions: int,
+               threshold: float, welch: bool) -> dict:
+    level_of = {(f.competition_id, f.researcher_id): f.level for f in findings}
+    rows = []
+    for uda, cells in split:
+        row = {"uda": uda}
+        incidence, levels = [], []  # female then male
+        for label, (keys, corr) in zip(("female", "male"), cells):
+            flagged = [level_of[key] for key in keys if key in level_of]
+            incidence.append([float(key in level_of) for key in keys])
+            levels.append(flagged)
+            row[label] = {
+                "n_flagged": len(flagged),
+                "n_applicants": len(keys),
+                "share": len(flagged) / len(keys) if keys else None,
+                "level_mean": _mean(flagged) if flagged else None,
+                "level_sd": _sd(flagged),   # None when fewer than 2 levels
+                "level_max": max(flagged) if flagged else None,
+                **corr,
+            }
+        row["incidence_test"] = _t_test(*incidence, welch)
+        row["level_test"] = _t_test(*levels, welch)
+        rows.append(row)
+    *rows, overall = rows
+    n_incidence_tests = _adjust([r["incidence_test"] for r in rows])
+    n_level_tests = _adjust([r["level_test"] for r in rows])
+    return {
+        "kind": kind.value,
+        "threshold": threshold,
+        "n_competitions": n_competitions,
+        "n_findings": len(findings),
+        "levels_p_i_only": False,  # levels cover every trigger
+        "n_incidence_tests": n_incidence_tests,
+        "n_level_tests": n_level_tests,
+        "rows": rows,
+        "overall": overall,
+    }
 
 
 def aggregate_bias(
     findings,
     features,
     corpus: Corpus,
-    kind: BiasKind,
     threshold: float = DEFAULT_THRESHOLD,
     welch: bool = False,
-) -> BiasTable:
-    """Fold findings of one kind into per-discipline, per-gender cells.
+) -> dict[BiasKind, dict]:
+    """Fold findings into per-discipline, per-gender tables, one per kind.
 
-    ``features`` must be the audit-set rows (retained competitions only);
-    applicant counts are applicant-competition pairs, so a researcher who
-    entered several competitions counts once per entry. Incidence and level
-    differences between genders get two-sample t-tests, Bonferroni-adjusted
-    across the per-UDA family; correlation p-values are adjusted across all
-    computable per-UDA gender cells.
+    Returns the JSON twin of each bias table (what ``render_bias_table``
+    reads), keyed by ``BiasKind``. ``features`` must be the audit-set rows
+    (retained competitions only); applicant counts are applicant-competition
+    pairs, so a researcher who entered several competitions counts once per
+    entry. The UDA grouping, the gender split and each cell's merit-vs-outcome
+    correlation do not depend on the kind: they are computed once and shared
+    by both twins, with correlation p-values adjusted across all computable
+    per-UDA gender cells. Per kind, incidence and level differences between
+    genders get two-sample t-tests, Bonferroni-adjusted across the per-UDA
+    family.
     """
-    findings = [f for f in findings if f.kind == kind]
-    level_of = {(f.competition_id, f.researcher_id): f.level for f in findings}
-
     def uda_of(comp_id: str) -> str:
         return corpus.taxonomy[corpus.competitions[comp_id].sds_id].uda_id
 
     by_uda: dict[str, list[ApplicantFeatures]] = {}
     for row in features:
         by_uda.setdefault(uda_of(row.competition_id), []).append(row)
+    groups = [(uda, by_uda[uda]) for uda in sorted(by_uda)]
+    groups.append(("all", list(features)))
 
-    def build_row(uda: str, rows) -> UdaRow:
-        row = UdaRow(uda=uda)
-        incidence, levels = [], []  # female then male
-        for cell, subset in ((row.female, [r for r in rows if r.female]),
-                             (row.male, [r for r in rows if not r.female])):
-            keys = [(r.competition_id, r.researcher_id) for r in subset]
-            flags = [key in level_of for key in keys]
-            incidence.append([float(flag) for flag in flags])
-            levels.append([level_of[key] for key in keys if key in level_of])
-            cell.n_applicants = len(subset)
-            cell.n_flagged = sum(flags)
-            if cell.n_applicants:
-                cell.share = cell.n_flagged / cell.n_applicants
-            _fill_levels(cell, levels[-1])
-            if len(subset) >= 3:
-                _fill_correlation(cell, subset)
-        try:
-            row.incidence_test = two_sample_t(*incidence, pooled=not welch)
-        except DegenerateInput:
-            row.incidence_test = None
-        try:
-            row.level_test = two_sample_t(*levels, pooled=not welch)
-        except DegenerateInput:
-            row.level_test = None
-        return row
+    # per group: (uda, [(female keys, correlation), (male keys, correlation)]),
+    # where a key is an applicant's (competition_id, researcher_id)
+    split = []
+    for uda, rows in groups:
+        cells = []
+        for subset in ([r for r in rows if r.female],
+                       [r for r in rows if not r.female]):
+            cells.append(([(r.competition_id, r.researcher_id) for r in subset],
+                          _correlation(subset)))
+        split.append((uda, cells))
+    corr_cells = [corr for _, cells in split[:-1] for _, corr in cells
+                  if corr["corr_p"] is not None]
+    for corr in corr_cells:
+        corr["corr_p_adj"] = bonferroni([corr["corr_p"]], len(corr_cells))[0]
 
-    rows = [build_row(uda, by_uda[uda]) for uda in sorted(by_uda)]
-    overall = build_row("all", list(features))
-
-    # family-wise adjustment over the per-UDA tests that were computable
-    for pick in (lambda r: r.incidence_test, lambda r: r.level_test):
-        tested = [pick(r) for r in rows if pick(r) is not None]
-        m = len(tested)
-        for t in tested:
-            t.p_bonferroni = bonferroni([t.p_two_sided], m)[0]
-    corr_cells = [cell for r in rows for cell in (r.female, r.male)
-                  if cell.corr_p is not None]
-    m = len(corr_cells)
-    for cell in corr_cells:
-        cell.corr_p_adj = bonferroni([cell.corr_p], m)[0]
-
-    return BiasTable(
-        kind=kind,
-        threshold=threshold,
-        rows=rows,
-        overall=overall,
-        n_competitions=len({r.competition_id for r in features}),
-        n_findings=len(findings),
-    )
+    n_competitions = len({r.competition_id for r in features})
+    return {kind: _bias_twin(kind, [f for f in findings if f.kind == kind],
+                             split, n_competitions, threshold, welch)
+            for kind in BiasKind}
 
 
 def write_findings(findings, path: str | Path) -> None:

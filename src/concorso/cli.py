@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .corpus import (
 from .errors import ConfigError, DataError, NumericError
 from .features import build_design, extract_all, filter_eligible, write_features
 from .report import (
-    bias_table_dict,
     correlations_dict,
     descriptives_dict,
     regression_dict,
@@ -46,7 +46,7 @@ from .scoring import (
     ScoreTable,
     median_fss_by_sds,
     score_corpus,
-    write_score_meta,
+    score_meta,
     write_scores,
 )
 from .stats import fit_logit
@@ -88,6 +88,7 @@ def _load(input_dir: Path, windows: dict[str, tuple[int, int]]) -> Corpus:
 
 
 def _write_json(twin: dict, path: Path) -> None:
+    """The one writer of the JSON twins: two-space indent, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(twin, fh, indent=2)
         fh.write("\n")
@@ -102,25 +103,24 @@ def _write_text(text: str, path: Path) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# The `gen` flags: each GenConfig field here is set by the flag of its name
+# (`n_sds` by `--n-sds`), each LatentWeights field here by `--w-<name>`, and
+# `noise_sd` by `--noise-sd`. The flag defaults are the dataclass defaults.
+GEN_FIELDS = ("seed", "n_sds", "n_universities", "researchers_per_sds",
+              "competitions_per_sds", "applicants_per_competition",
+              "winners_per_competition", "female_share", "surname_pool",
+              "mobility_rate")
+WEIGHT_FIELDS = ("merit", "cp", "ce", "pp", "ne", "sp")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    windows = _windows(args)
-    weights = LatentWeights(merit=args.w_merit, cp=args.w_cp, ce=args.w_ce,
-                            pp=args.w_pp, ne=args.w_ne, sp=args.w_sp,
-                            noise_sd=args.noise_sd)
+    weights = LatentWeights(
+        noise_sd=args.noise_sd,
+        **{name: getattr(args, f"w_{name}") for name in WEIGHT_FIELDS})
     gen_cfg = GenConfig(
-        seed=args.seed,
-        n_sds=args.n_sds,
-        n_universities=args.n_universities,
-        researchers_per_sds=args.researchers_per_sds,
-        female_share=args.female_share,
-        surname_pool=args.surname_pool,
         weights=weights,
-        competitions_per_sds=args.competitions_per_sds,
-        winners_per_competition=args.winners_per_competition,
-        applicants_per_competition=args.applicants_per_competition,
-        mobility_rate=args.mobility_rate,
-        **windows,
-    )
+        **{name: getattr(args, name) for name in GEN_FIELDS},
+        **_windows(args))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     corpus, truth, _ = generate_to_dir(gen_cfg, args.out_dir)
     print(f"generated corpus with seed {gen_cfg.seed}: "
@@ -135,7 +135,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _write_score_stage(out_dir: Path, corpus: Corpus, table: ScoreTable) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_scores(table, corpus, out_dir / "scores.csv")
-    write_score_meta(table, out_dir / "score_meta.json")
+    _write_json(score_meta(table), out_dir / "score_meta.json")
     print(f"scored {len(table.scores)} researchers over "
           f"{table.window[0]}:{table.window[1]} "
           f"({len(table.skipped)} skipped, no career overlap) "
@@ -151,22 +151,21 @@ def _write_audit_stage(args: argparse.Namespace, corpus: Corpus,
                           threshold=args.threshold)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_findings(findings, args.out_dir / "findings.csv")
-    for kind, stem in ((BiasKind.NEGATIVE, "bias_negative"),
-                       (BiasKind.POSITIVE, "bias_positive")):
-        bias_table = aggregate_bias(findings, audit_rows, corpus, kind,
-                                    threshold=args.threshold, welch=args.welch)
-        twin = bias_table_dict(bias_table)
+    twins = aggregate_bias(findings, audit_rows, corpus,
+                           threshold=args.threshold, welch=args.welch)
+    for kind, twin in twins.items():
+        stem = f"bias_{kind.value}"
         _write_json(twin, args.out_dir / f"{stem}.json")
         _write_text(render_bias_table(twin, one_sided=args.one_sided),
                     args.out_dir / f"{stem}.txt")
     if not retained:
         print("warning: no competition retained an eligible winner and "
               "non-winner; tables are empty", file=sys.stderr)
-    n_neg = sum(1 for f in findings if f.kind is BiasKind.NEGATIVE)
-    n_pos = sum(1 for f in findings if f.kind is BiasKind.POSITIVE)
     print(f"audited {len(retained)} competitions "
-          f"at threshold {args.threshold:g}: {n_neg} negative and "
-          f"{n_pos} positive findings -> {args.out_dir / 'findings.csv'}")
+          f"at threshold {args.threshold:g}: "
+          f"{twins[BiasKind.NEGATIVE]['n_findings']} negative and "
+          f"{twins[BiasKind.POSITIVE]['n_findings']} positive findings "
+          f"-> {args.out_dir / 'findings.csv'}")
 
 
 def _write_regress_stage(out_dir: Path, rows) -> None:
@@ -198,8 +197,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     regress share are extracted once.
     """
     windows = _windows(args)
-    if "threshold" in args and args.threshold <= 0:
-        raise ConfigError(f"threshold must be > 0, got {args.threshold:g}")
+    if "threshold" in args and not (math.isfinite(args.threshold)
+                                    and args.threshold > 0):
+        raise ConfigError(
+            f"threshold must be finite and > 0, got {args.threshold:g}")
     stages = (("score", "audit", "regress") if args.command == "report"
               else (args.command,))
     corpus = _load(args.input_dir, windows)
@@ -250,23 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-sds", type=int, default=5)
-    p.add_argument("--n-universities", type=int, default=6)
-    p.add_argument("--researchers-per-sds", type=int, default=40)
-    p.add_argument("--competitions-per-sds", type=int, default=6)
-    p.add_argument("--applicants-per-competition", type=int, default=8)
-    p.add_argument("--winners-per-competition", type=int, default=1)
-    p.add_argument("--female-share", type=float, default=0.45)
-    p.add_argument("--surname-pool", type=int, default=40)
-    p.add_argument("--mobility-rate", type=float, default=0.10)
-    p.add_argument("--w-merit", type=float, default=1.0)
-    p.add_argument("--w-cp", type=float, default=0.0)
-    p.add_argument("--w-ce", type=float, default=0.0)
-    p.add_argument("--w-pp", type=float, default=0.0)
-    p.add_argument("--w-ne", type=float, default=0.0)
-    p.add_argument("--w-sp", type=float, default=0.0)
-    p.add_argument("--noise-sd", type=float, default=0.0)
+    for name in GEN_FIELDS:
+        default = getattr(GenConfig, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=default)
+    for name in WEIGHT_FIELDS:
+        p.add_argument(f"--w-{name}", type=float,
+                       default=getattr(LatentWeights, name))
+    p.add_argument("--noise-sd", type=float, default=LatentWeights.noise_sd)
     _add_window_flags(p)
     p.set_defaults(func=cmd_gen)
 

@@ -12,14 +12,11 @@ groups, constant columns, degenerate tests - render as a dash.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 
-from .bias import BiasTable
 from .errors import NumericError
 from .features import FEATURE_ORDER, _FEATURE_ATTR, build_design
-from .stats import RegressionResult, TestResult, bonferroni, pearson, vif
+from .stats import RegressionResult, bonferroni, pearson, vif
 
 SIGNIFICANCE_LEGEND = (
     "Statistical significance: *p-value <0.10, **p-value <0.05, "
@@ -68,46 +65,10 @@ def _layout(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _test_dict(test: TestResult | None) -> dict | None:
-    if test is None:
-        return None
-    return {
-        "statistic": test.statistic,
-        "df": test.df,
-        "p_one_sided": test.p_one_sided,
-        "p_two_sided": test.p_two_sided,
-        "p_bonferroni": test.p_bonferroni,
-    }
-
-
 # ---------------------------------------------------------------------------
-# bias tables (flagged counts, levels, incidence and level tests by UDA)
+# bias tables (flagged counts, levels, incidence and level tests by UDA); the
+# twins come from bias.aggregate_bias
 # ---------------------------------------------------------------------------
-
-def bias_table_dict(table: BiasTable) -> dict:
-    def row_dict(row) -> dict:
-        return {
-            "uda": row.uda,
-            "female": asdict(row.female),
-            "male": asdict(row.male),
-            "incidence_test": _test_dict(row.incidence_test),
-            "level_test": _test_dict(row.level_test),
-        }
-
-    return {
-        "kind": table.kind.value,
-        "threshold": table.threshold,
-        "n_competitions": table.n_competitions,
-        "n_findings": table.n_findings,
-        "levels_p_i_only": False,  # levels cover every trigger
-        "n_incidence_tests": sum(
-            1 for r in table.rows if r.incidence_test is not None),
-        "n_level_tests": sum(
-            1 for r in table.rows if r.level_test is not None),
-        "rows": [row_dict(r) for r in table.rows],
-        "overall": row_dict(table.overall),
-    }
-
 
 def _bracket(count: int, total: int) -> str:
     if total == 0:

@@ -15,7 +15,6 @@ Both limitations are recorded in the score metadata.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -274,6 +273,7 @@ def write_scores(table: ScoreTable, corpus: Corpus, path: str | Path) -> None:
 
 
 def score_meta(table: ScoreTable) -> dict:
+    """The JSON twin of a score table (``score_meta.json``)."""
     return {
         "window": list(table.window),
         "n_scored": len(table.scores),
@@ -286,8 +286,3 @@ def score_meta(table: ScoreTable) -> dict:
         ],
     }
 
-
-def write_score_meta(table: ScoreTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(score_meta(table), fh, indent=2)
-        fh.write("\n")

@@ -16,7 +16,8 @@ differ) are recorded per competition as ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,11 +138,20 @@ def validate_config(cfg: GenConfig) -> None:
         bad("competitions_per_sds must be >= 1")
     if not 0.0 <= cfg.mobility_rate <= 1.0:
         bad("mobility_rate must lie in [0,1]")
+    for weight in fields(LatentWeights):
+        value = getattr(cfg.weights, weight.name)
+        if not math.isfinite(value):
+            bad(f"weights.{weight.name} must be finite, got {value}")
     if cfg.weights.noise_sd < 0:
         bad("noise_sd must be >= 0")
     for window in (cfg.productivity_window, cfg.collaboration_window):
         if window[0] > window[1]:
             bad(f"window {window[0]}:{window[1]} is reversed")
+    # every eligible applicant starts by this year and needs a score
+    latest_eligible_start = COMPETITION_YEAR - MIN_CAREER_YEARS
+    if cfg.productivity_window[1] < latest_eligible_start:
+        bad(f"productivity window ends {cfg.productivity_window[1]}, before "
+            f"{latest_eligible_start}: eligible applicants would go unscored")
     guaranteed = cfg.winners_per_competition + 1
     if n_ast < guaranteed:
         bad(f"need at least {guaranteed} assistant professors per SDS")
@@ -285,18 +295,12 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                         citations=int(rng.poisson(rate)), byline=byline)
 
     # competitions, provisional (winners assigned after feature extraction)
+    # validate_config guarantees 5 full professors (a committee) and
+    # guaranteed_eligible eligible assistants per SDS
     for sds_id in sds_ids:
-        if len(fulls[sds_id]) < 5:
-            raise InfeasibleConfig(
-                f"SDS {sds_id} has {len(fulls[sds_id])} full professors; "
-                "a committee needs 5")
         eligible_pool = [a for a in assistants[sds_id]
                          if corpus.researchers[a].career_start_year
                          <= latest_eligible_start]
-        if len(eligible_pool) < guaranteed_eligible:
-            raise InfeasibleConfig(
-                f"SDS {sds_id} has {len(eligible_pool)} eligible assistant "
-                f"professors; competitions need {guaranteed_eligible}")
         pool = fulls[sds_id]
         # full professors by university in the competition year, in pool order
         local_fulls: dict[str, list[str]] = {}

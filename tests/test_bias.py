@@ -261,46 +261,48 @@ def test_aggregate_counts_and_levels():
     ]
     findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0},
                           retained=["c1", "c2"])
-    table = aggregate_bias(findings, features, corpus, BiasKind.NEGATIVE)
+    table = aggregate_bias(findings, features, corpus)[BiasKind.NEGATIVE]
 
-    assert [r.uda for r in table.rows] == ["A", "B"]
-    uda_a, uda_b = table.rows
+    assert table["kind"] == "negative"
+    assert [r["uda"] for r in table["rows"]] == ["A", "B"]
+    uda_a, uda_b = table["rows"]
     # c1: n1 flagged (D = 80-30 = 50); c2: n3 and n4 both flagged
-    assert uda_a.female.n_flagged == 1
-    assert uda_a.female.n_applicants == 1
-    assert uda_a.female.share == 1.0
-    assert uda_a.female.level_mean == 50.0
-    assert uda_a.female.level_sd is None          # single finding
-    assert uda_a.female.level_max == 50.0
-    assert uda_a.male.n_flagged == 0
-    assert uda_a.male.n_applicants == 2
-    assert uda_b.female.n_flagged == 1             # n3, D = 90-40 = 50
-    assert uda_b.male.n_flagged == 1               # n4, D = 85-40 = 45
-    assert uda_b.male.level_mean == 45.0
-    assert table.overall.female.n_flagged == 2
-    assert table.overall.male.n_flagged == 1
-    assert table.overall.female.n_applicants == 3
-    assert table.overall.male.n_applicants == 3
-    assert table.n_findings == 3
-    assert table.n_competitions == 2
+    assert uda_a["female"]["n_flagged"] == 1
+    assert uda_a["female"]["n_applicants"] == 1
+    assert uda_a["female"]["share"] == 1.0
+    assert uda_a["female"]["level_mean"] == 50.0
+    assert uda_a["female"]["level_sd"] is None     # single finding
+    assert uda_a["female"]["level_max"] == 50.0
+    assert uda_a["male"]["n_flagged"] == 0
+    assert uda_a["male"]["n_applicants"] == 2
+    assert uda_b["female"]["n_flagged"] == 1       # n3, D = 90-40 = 50
+    assert uda_b["male"]["n_flagged"] == 1         # n4, D = 85-40 = 45
+    assert uda_b["male"]["level_mean"] == 45.0
+    overall = table["overall"]
+    assert overall["female"]["n_flagged"] == 2
+    assert overall["male"]["n_flagged"] == 1
+    assert overall["female"]["n_applicants"] == 3
+    assert overall["male"]["n_applicants"] == 3
+    assert table["n_findings"] == 3
+    assert table["n_competitions"] == 2
 
     # incidence test equals a direct recomputation on the 0/1 vectors
     direct = two_sample_t([1.0, 0.0, 1.0], [0.0, 0.0, 1.0])
-    assert table.overall.incidence_test.statistic == direct.statistic
-    assert table.overall.incidence_test.p_two_sided == direct.p_two_sided
+    assert overall["incidence_test"]["statistic"] == direct.statistic
+    assert overall["incidence_test"]["p_two_sided"] == direct.p_two_sided
 
 
 def test_aggregate_no_findings():
     corpus = audit_corpus()
     features = [row("c1", "w1", 1, 90, raw=9.0, female=1),
                 row("c1", "n1", 0, 10, raw=9.0, female=0)]
-    table = aggregate_bias([], features, corpus, BiasKind.NEGATIVE)
-    assert table.n_findings == 0
-    cell = table.rows[0].female
-    assert cell.n_flagged == 0 and cell.n_applicants == 1
-    assert cell.level_mean is None and cell.level_max is None
-    assert table.rows[0].level_test is None        # nothing to compare
-    assert table.overall.incidence_test is None    # all-zero incidence vectors
+    table = aggregate_bias([], features, corpus)[BiasKind.NEGATIVE]
+    assert table["n_findings"] == 0
+    cell = table["rows"][0]["female"]
+    assert cell["n_flagged"] == 0 and cell["n_applicants"] == 1
+    assert cell["level_mean"] is None and cell["level_max"] is None
+    assert table["rows"][0]["level_test"] is None      # nothing to compare
+    assert table["overall"]["incidence_test"] is None  # all-zero incidence vectors
 
 
 def test_aggregate_bonferroni_family_size():
@@ -317,12 +319,13 @@ def test_aggregate_bonferroni_family_size():
     ]
     findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0},
                           retained=["c1", "c2"])
-    table = aggregate_bias(findings, features, corpus, BiasKind.NEGATIVE)
-    computable = [r.incidence_test for r in table.rows if r.incidence_test]
+    table = aggregate_bias(findings, features, corpus)[BiasKind.NEGATIVE]
+    computable = [r["incidence_test"] for r in table["rows"]
+                  if r["incidence_test"]]
     m = len(computable)
     assert m == 2
     for t in computable:
-        assert t.p_bonferroni == min(1.0, m * t.p_two_sided)
+        assert t["p_bonferroni"] == min(1.0, m * t["p_two_sided"])
 
 
 def test_aggregate_levels_include_p_ii_only_findings():
@@ -335,9 +338,10 @@ def test_aggregate_levels_include_p_ii_only_findings():
     ]
     findings = detect_all(features, corpus, {"SA": 2.0, "SB": 2.0},
                           retained=["c1", "c2"])
-    everything = aggregate_bias(findings, features, corpus, BiasKind.POSITIVE)
-    assert everything.overall.female.n_flagged == 2
-    assert everything.overall.female.level_mean == pytest.approx((60.0 - 15.0) / 2)
+    everything = aggregate_bias(findings, features, corpus)[BiasKind.POSITIVE]
+    assert everything["overall"]["female"]["n_flagged"] == 2
+    assert everything["overall"]["female"]["level_mean"] == pytest.approx(
+        (60.0 - 15.0) / 2)
 
 
 def test_aggregate_welch_flag_changes_df():
@@ -351,10 +355,11 @@ def test_aggregate_welch_flag_changes_df():
                             raw=9.0, female=int(i % 3 == 0)))
     findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0},
                           retained=["c1", "c2"])
-    pooled = aggregate_bias(findings, features, corpus, BiasKind.POSITIVE)
-    welch = aggregate_bias(findings, features, corpus, BiasKind.POSITIVE,
-                           welch=True)
-    assert pooled.overall.incidence_test.df != welch.overall.incidence_test.df
+    pooled = aggregate_bias(findings, features, corpus)[BiasKind.POSITIVE]
+    welch = aggregate_bias(findings, features, corpus,
+                           welch=True)[BiasKind.POSITIVE]
+    assert (pooled["overall"]["incidence_test"]["df"]
+            != welch["overall"]["incidence_test"]["df"])
 
 
 def test_write_findings(tmp_path):

@@ -17,14 +17,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from concorso.bias import detect_all
+from concorso import bias
+from concorso.bias import BiasKind, aggregate_bias, detect_all
 from concorso.corpus import Corpus, load_corpus, write_corpus
 from concorso import cli
 from concorso.cli import main, parse_window
 from concorso.errors import ConfigError
 from concorso.features import extract_all, filter_eligible, write_features
-from concorso.report import fmt, render_regression, regression_dict, stars
+from concorso.report import (
+    fmt,
+    render_bias_table,
+    render_regression,
+    regression_dict,
+    stars,
+)
 from concorso.scoring import median_fss_by_sds, score_corpus
+from concorso.synthgen import GenConfig, GroundTruth, LatentWeights
 
 GEN_SMALL = ["--n-sds", "2", "--researchers-per-sds", "14",
              "--competitions-per-sds", "2", "--applicants-per-competition", "5"]
@@ -145,12 +153,30 @@ def test_bad_flags_exit_config(tmp_path, capsys):
     assert main(["gen"]) == 3  # --out-dir is required
     assert main(["score", "--input-dir", str(tmp_path),
                  "--out-dir", str(tmp_path), "--window-fss", "bogus"]) == 3
-    assert main(["audit", "--input-dir", str(tmp_path),
-                 "--out-dir", str(tmp_path), "--threshold", "0"]) == 3
+    for threshold in ("0", "nan", "inf"):  # a bias band is finite and > 0
+        for command in ("audit", "report"):
+            assert main([command, "--input-dir", str(tmp_path),
+                         "--out-dir", str(tmp_path),
+                         "--threshold", threshold]) == 3
     for command in ("regress", "report"):  # clustering is always by competition
         assert main([command, "--input-dir", str(tmp_path),
                      "--out-dir", str(tmp_path), "--clusters", "competition"]) == 3
     capsys.readouterr()
+
+
+def test_gen_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch,
+                                                  capsys):
+    seen = []
+
+    def capture(cfg, directory):
+        seen.append(cfg)
+        return Corpus(), GroundTruth(), None
+
+    monkeypatch.setattr(cli, "generate_to_dir", capture)
+    assert main(["gen", "--out-dir", str(tmp_path / "x")]) == 0
+    capsys.readouterr()
+    assert seen == [GenConfig()]
+    assert seen[0].weights == LatentWeights()
 
 
 def test_empty_corpus_scores_cleanly(tmp_path, capsys):
@@ -424,6 +450,75 @@ def test_one_load_score_extract_per_run(golden_corpus, tmp_path, monkeypatch,
                      "--out-dir", str(tmp_path / command)]) == 0
         assert calls == {"load_corpus": 1, "score_corpus": 1,
                          "extract_all": extractions}, command
+
+
+def bias_twins(corpus_dir, **kwargs):
+    """Both bias twins of a corpus, built as the audit stage builds them."""
+    corpus = load_corpus(corpus_dir)
+    table = score_corpus(corpus)
+    retained = filter_eligible(corpus).retained_competitions
+    kept = set(retained)
+    rows = [r for r in extract_all(corpus, table) if r.competition_id in kept]
+    findings = detect_all(rows, corpus, median_fss_by_sds(table, corpus),
+                          retained)
+    return aggregate_bias(findings, rows, corpus, **kwargs)
+
+
+def test_bias_render_from_twin_roundtrip(golden_corpus):
+    for welch in (False, True):
+        twins = bias_twins(golden_corpus, welch=welch)
+        assert list(twins) == [BiasKind.NEGATIVE, BiasKind.POSITIVE]
+        for kind, twin in twins.items():
+            assert twin["kind"] == kind.value
+            rehydrated = json.loads(json.dumps(twin))
+            for one_sided in (False, True):
+                assert (render_bias_table(rehydrated, one_sided=one_sided)
+                        == render_bias_table(twin, one_sided=one_sided))
+
+
+def test_bias_twins_share_their_correlation_cells(golden_corpus):
+    twins = bias_twins(golden_corpus)
+    cells = {}
+    for kind, twin in twins.items():
+        cells[kind] = [
+            {key: value for key, value in row[label].items()
+             if key.startswith("corr_")}
+            for row in twin["rows"] + [twin["overall"]]
+            for label in ("female", "male")]
+    assert cells[BiasKind.NEGATIVE] == cells[BiasKind.POSITIVE]
+    assert any(cell["corr_p_adj"] is not None
+               for cell in cells[BiasKind.NEGATIVE])
+
+
+def test_one_aggregate_pass_per_audit(golden_corpus, tmp_path, monkeypatch,
+                                      capsys):
+    calls = {"aggregate_bias": 0, "pearson": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "aggregate_bias",
+                        counting("aggregate_bias", cli.aggregate_bias))
+    monkeypatch.setattr(bias, "pearson", counting("pearson", bias.pearson))
+    for command, passes in (("report", 1), ("audit", 1), ("score", 0),
+                            ("regress", 0)):
+        calls.update(aggregate_bias=0, pearson=0)
+        out_dir = tmp_path / command
+        assert main([command, "--input-dir", str(golden_corpus),
+                     "--out-dir", str(out_dir)]) == 0
+        cells = 0
+        if passes:
+            twin = json.loads((out_dir / "bias_negative.json").read_text())
+            cells = sum(1 for row in twin["rows"] + [twin["overall"]]
+                        for label in ("female", "male")
+                        if row[label]["n_applicants"] >= 3)
+            assert cells > 0
+        # one merit-vs-outcome correlation per cell with 3+ applicants
+        assert calls == {"aggregate_bias": passes, "pearson": cells}, command
+    capsys.readouterr()
 
 
 CORPUS_FILES = ("taxonomy.csv", "researchers.csv", "publications.jsonl",

@@ -1,6 +1,7 @@
 """Tests for the synthetic corpus generator."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -218,6 +219,13 @@ def test_infeasible_configs_rejected():
         dict(mobility_rate=2.0),
         dict(productivity_window=(2008, 2004)),
         dict(weights=LatentWeights(noise_sd=-1.0)),
+        dict(weights=LatentWeights(noise_sd=math.nan)),
+        dict(weights=LatentWeights(cp=math.nan)),
+        dict(weights=LatentWeights(merit=math.inf)),
+        dict(weights=LatentWeights(sp=-math.inf)),
+        # eligible applicants start by 2005 and would have no score
+        dict(productivity_window=(1990, 1995)),
+        dict(productivity_window=(2000, 2004)),
     ]
     for overrides in cases:
         cfg = replace(GenConfig(seed=0), **overrides)
@@ -225,6 +233,67 @@ def test_infeasible_configs_rejected():
             validate_config(cfg)
         with pytest.raises(InfeasibleConfig):
             generate(cfg)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def small_configs(draw):
+    """Small generator configs with random weights and windows. Most are
+    feasible; the rest break one rule of validate_config: a non-finite
+    weight, a productivity window that ends before 2005, or too few
+    researchers or applicants."""
+    fault = draw(st.sampled_from((None,) * 8 + ("weight", "window",
+                                                "researchers", "applicants")))
+    weights = {name: draw(st.floats(-10, 10))
+               for name in ("merit", "cp", "ce", "pp", "ne", "sp")}
+    weights["noise_sd"] = draw(st.floats(0, 10))
+    if fault == "weight":
+        weights[draw(st.sampled_from(sorted(weights)))] = draw(
+            st.sampled_from(NON_FINITE))
+    fss_end = draw(st.integers(1990, 2004) if fault == "window"
+                   else st.integers(2005, 2012))
+    collab_start = draw(st.integers(1990, 2012))
+    winners = draw(st.integers(1, 2))
+    return GenConfig(
+        seed=draw(st.integers(0, 2**16)),
+        n_sds=draw(st.integers(1, 2)),
+        n_universities=draw(st.integers(1, 3)),
+        researchers_per_sds=draw(st.integers(1, 7) if fault == "researchers"
+                                 else st.integers(9, 14)),
+        female_share=draw(st.floats(0, 1)),
+        surname_pool=draw(st.integers(1, 20)),
+        weights=LatentWeights(**weights),
+        competitions_per_sds=draw(st.integers(1, 2)),
+        winners_per_competition=winners,
+        applicants_per_competition=draw(
+            st.integers(1, winners) if fault == "applicants"
+            else st.integers(winners + 1, 6)),
+        mobility_rate=draw(st.floats(0, 1)),
+        productivity_window=(fss_end - draw(st.integers(0, 6)), fss_end),
+        collaboration_window=(collab_start,
+                              collab_start + draw(st.integers(0, 8))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=small_configs())
+def test_validate_config_decides_whether_generate_succeeds(cfg):
+    # validate_config is the whole feasibility contract: generate fails only
+    # where it fails, and only with InfeasibleConfig; an accepted config
+    # yields a valid corpus whose latent selection scores are all numbers
+    try:
+        validate_config(cfg)
+    except InfeasibleConfig:
+        with pytest.raises(InfeasibleConfig):
+            generate(cfg)
+        return
+    corpus, truth = generate(cfg)
+    report = validate_corpus(corpus)
+    assert report.ok, report.violations[:3]
+    assert all(math.isfinite(value) for t in truth.competitions.values()
+               for value in t.latent.values())
 
 
 def test_surname_pool_bounds_distinct_names():

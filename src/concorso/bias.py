@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import DegenerateInput
-from .features import ApplicantFeatures
-from .stats import TestResult, bonferroni, pearson, two_sample_t
+from .features import ApplicantFeatures, by_gender
+from .stats import TestResult, adjust_family, pearson, two_sample_t
 
 DEFAULT_THRESHOLD = 20.0
 
@@ -171,7 +171,7 @@ def _test_dict(test: TestResult | None) -> dict | None:
         "df": test.df,
         "p_one_sided": test.p_one_sided,
         "p_two_sided": test.p_two_sided,
-        "p_bonferroni": test.p_bonferroni,
+        "p_bonferroni": None,  # set by the per-UDA family adjustment
     }
 
 
@@ -194,15 +194,6 @@ def _correlation(rows) -> dict:
     return corr
 
 
-def _adjust(tests) -> int:
-    """Bonferroni-adjust the computable tests of one per-UDA family in
-    place; returns the family size."""
-    tested = [t for t in tests if t is not None]
-    for t in tested:
-        t["p_bonferroni"] = bonferroni([t["p_two_sided"]], len(tested))[0]
-    return len(tested)
-
-
 def _bias_twin(kind: BiasKind, findings, split, n_competitions: int,
                threshold: float, welch: bool) -> dict:
     level_of = {(f.competition_id, f.researcher_id): f.level for f in findings}
@@ -210,7 +201,7 @@ def _bias_twin(kind: BiasKind, findings, split, n_competitions: int,
     for uda, cells in split:
         row = {"uda": uda}
         incidence, levels = [], []  # female then male
-        for label, (keys, corr) in zip(("female", "male"), cells):
+        for label, keys, corr in cells:
             flagged = [level_of[key] for key in keys if key in level_of]
             incidence.append([float(key in level_of) for key in keys])
             levels.append(flagged)
@@ -227,8 +218,10 @@ def _bias_twin(kind: BiasKind, findings, split, n_competitions: int,
         row["level_test"] = _t_test(*levels, welch)
         rows.append(row)
     *rows, overall = rows
-    n_incidence_tests = _adjust([r["incidence_test"] for r in rows])
-    n_level_tests = _adjust([r["level_test"] for r in rows])
+    n_incidence_tests = adjust_family([r["incidence_test"] for r in rows],
+                                      "p_two_sided", "p_bonferroni")
+    n_level_tests = adjust_family([r["level_test"] for r in rows],
+                                  "p_two_sided", "p_bonferroni")
     return {
         "kind": kind.value,
         "threshold": threshold,
@@ -271,20 +264,16 @@ def aggregate_bias(
     groups = [(uda, by_uda[uda]) for uda in sorted(by_uda)]
     groups.append(("all", list(features)))
 
-    # per group: (uda, [(female keys, correlation), (male keys, correlation)]),
-    # where a key is an applicant's (competition_id, researcher_id)
+    # per group: (uda, [(gender label, keys, correlation) per gender]), where
+    # a key is an applicant's (competition_id, researcher_id)
     split = []
     for uda, rows in groups:
-        cells = []
-        for subset in ([r for r in rows if r.female],
-                       [r for r in rows if not r.female]):
-            cells.append(([(r.competition_id, r.researcher_id) for r in subset],
-                          _correlation(subset)))
+        cells = [(label, [(r.competition_id, r.researcher_id) for r in subset],
+                  _correlation(subset))
+                 for label, subset in by_gender(rows)]
         split.append((uda, cells))
-    corr_cells = [corr for _, cells in split[:-1] for _, corr in cells
-                  if corr["corr_p"] is not None]
-    for corr in corr_cells:
-        corr["corr_p_adj"] = bonferroni([corr["corr_p"]], len(corr_cells))[0]
+    adjust_family((corr for _, cells in split[:-1] for _, _, corr in cells),
+                  "corr_p", "corr_p_adj")
 
     n_competitions = len({r.competition_id for r in features})
     return {kind: _bias_twin(kind, [f for f in findings if f.kind == kind],

@@ -87,16 +87,14 @@ def _load(input_dir: Path, windows: dict[str, tuple[int, int]]) -> Corpus:
     return corpus
 
 
-def _write_json(twin: dict, path: Path) -> None:
-    """The one writer of the JSON twins: two-space indent, final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_twin(stem: Path, twin: dict, text: str | None = None) -> None:
+    """The one writer of a twin pair: ``<stem>.json`` (two-space indent,
+    final newline) and, when given, its rendering as ``<stem>.txt``."""
+    with open(stem.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(twin, fh, indent=2)
         fh.write("\n")
-
-
-def _write_text(text: str, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    if text is not None:
+        stem.with_suffix(".txt").write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +119,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         weights=weights,
         **{name: getattr(args, name) for name in GEN_FIELDS},
         **_windows(args))
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     corpus, truth, _ = generate_to_dir(gen_cfg, args.out_dir)
     print(f"generated corpus with seed {gen_cfg.seed}: "
           f"{len(corpus.researchers)} researchers, "
@@ -135,7 +132,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _write_score_stage(out_dir: Path, corpus: Corpus, table: ScoreTable) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_scores(table, corpus, out_dir / "scores.csv")
-    _write_json(score_meta(table), out_dir / "score_meta.json")
+    _write_twin(out_dir / "score_meta", score_meta(table))
     print(f"scored {len(table.scores)} researchers over "
           f"{table.window[0]}:{table.window[1]} "
           f"({len(table.skipped)} skipped, no career overlap) "
@@ -154,10 +151,8 @@ def _write_audit_stage(args: argparse.Namespace, corpus: Corpus,
     twins = aggregate_bias(findings, audit_rows, corpus,
                            threshold=args.threshold, welch=args.welch)
     for kind, twin in twins.items():
-        stem = f"bias_{kind.value}"
-        _write_json(twin, args.out_dir / f"{stem}.json")
-        _write_text(render_bias_table(twin, one_sided=args.one_sided),
-                    args.out_dir / f"{stem}.txt")
+        _write_twin(args.out_dir / f"bias_{kind.value}", twin,
+                    render_bias_table(twin, one_sided=args.one_sided))
     if not retained:
         print("warning: no competition retained an eligible winner and "
               "non-winner; tables are empty", file=sys.stderr)
@@ -173,22 +168,28 @@ def _write_regress_stage(out_dir: Path, rows) -> None:
     write_features(rows, out_dir / "features.csv")
 
     twin = descriptives_dict(rows)
-    _write_json(twin, out_dir / "descriptives.json")
-    _write_text(render_descriptives(twin), out_dir / "descriptives.txt")
-
+    _write_twin(out_dir / "descriptives", twin, render_descriptives(twin))
     twin = correlations_dict(rows)
-    _write_json(twin, out_dir / "correlations.json")
-    _write_text(render_correlations(twin), out_dir / "correlations.txt")
-
-    design = build_design(rows)
-    result = fit_logit(design)
+    _write_twin(out_dir / "correlations", twin, render_correlations(twin))
+    result = fit_logit(build_design(rows))
     twin = regression_dict(result)
-    _write_json(twin, out_dir / "regression.json")
-    _write_text(render_regression(twin), out_dir / "regression.txt")
+    _write_twin(out_dir / "regression", twin, render_regression(twin))
     print(f"fitted logistic model on {result.n_obs} applicant rows in "
           f"{result.n_clusters} competition clusters "
           f"(log likelihood {result.log_likelihood:.4f}) "
           f"-> {out_dir / 'regression.txt'}")
+
+
+# The analysis subcommands: name -> (help, the stages it writes). Each takes
+# --input-dir, --out-dir and the window flags, and one that audits also takes
+# --threshold, --welch and --one-sided.
+ANALYSES = {
+    "score": ("compute productivity scores", ("score",)),
+    "audit": ("detect bias in competition outcomes", ("audit",)),
+    "regress": ("fit the outcome model", ("regress",)),
+    "report": ("run score, audit, and regress in one pass",
+               ("score", "audit", "regress")),
+}
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -197,12 +198,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     regress share are extracted once.
     """
     windows = _windows(args)
-    if "threshold" in args and not (math.isfinite(args.threshold)
-                                    and args.threshold > 0):
+    stages = args.stages
+    if "audit" in stages and not (math.isfinite(args.threshold)
+                                  and args.threshold > 0):
         raise ConfigError(
             f"threshold must be finite and > 0, got {args.threshold:g}")
-    stages = (("score", "audit", "regress") if args.command == "report"
-              else (args.command,))
     corpus = _load(args.input_dir, windows)
     table = score_corpus(corpus)
     if "score" in stages:
@@ -232,16 +232,6 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
                    % DEFAULT_COLLABORATION_WINDOW)
 
 
-def _add_audit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="bias threshold in percentile points "
-                        "(default %(default)g)")
-    p.add_argument("--welch", action="store_true",
-                   help="Welch t-tests instead of pooled variance")
-    p.add_argument("--one-sided", action="store_true",
-                   help="render one-sided p-values in text tables")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concorso",
@@ -262,31 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_flags(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("score", help="compute productivity scores")
-    p.add_argument("--input-dir", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    _add_window_flags(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("audit", help="detect bias in competition outcomes")
-    p.add_argument("--input-dir", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    _add_window_flags(p)
-    _add_audit_flags(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("regress", help="fit the outcome model")
-    p.add_argument("--input-dir", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    _add_window_flags(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("report", help="run score, audit, and regress in one pass")
-    p.add_argument("--input-dir", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    _add_window_flags(p)
-    _add_audit_flags(p)
-    p.set_defaults(func=cmd_pipeline)
+    for name, (help_text, stages) in ANALYSES.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input-dir", type=Path, required=True)
+        p.add_argument("--out-dir", type=Path, required=True)
+        _add_window_flags(p)
+        if "audit" in stages:
+            p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                           help="bias threshold in percentile points "
+                                "(default %(default)g)")
+            p.add_argument("--welch", action="store_true",
+                           help="Welch t-tests instead of pooled variance")
+            p.add_argument("--one-sided", action="store_true",
+                           help="render one-sided p-values in text tables")
+        p.set_defaults(func=cmd_pipeline, stages=stages)
 
     return parser
 

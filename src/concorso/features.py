@@ -43,8 +43,21 @@ class ApplicantFeatures:
     merit_raw: float = 0.0        # raw score behind merit_pct, for median tests
 
 
-EXPORT_COLUMNS = ["competition_id", "researcher_id",
-                  "E", "G", "FSS", "NE", "CP", "CE", "PP", "PE", "SP", "SE"]
+# The regressors by code, in design order, with the ApplicantFeatures field
+# each code reads. The design, the features.csv columns after E, and the
+# per-gender report tables all follow this order.
+FEATURES = {
+    "G": "female",
+    "FSS": "merit_pct",
+    "NE": "surname_match",
+    "CP": "years_with_president",
+    "CE": "years_with_members",
+    "PP": "president_coauth_share",
+    "PE": "coauthoring_members",
+    "SP": "same_gender_president",
+    "SE": "same_gender_majority",
+}
+EXPORT_COLUMNS = ["competition_id", "researcher_id", "E", *FEATURES]
 
 
 def normalize_family_name(name: str) -> str:
@@ -210,18 +223,12 @@ def extract_all(
     return rows
 
 
-FEATURE_ORDER = ["G", "FSS", "NE", "CP", "CE", "PP", "PE", "SP", "SE"]
-_FEATURE_ATTR = {
-    "G": "female",
-    "FSS": "merit_pct",
-    "NE": "surname_match",
-    "CP": "years_with_president",
-    "CE": "years_with_members",
-    "PP": "president_coauth_share",
-    "PE": "coauthoring_members",
-    "SP": "same_gender_president",
-    "SE": "same_gender_majority",
-}
+def by_gender(rows) -> tuple[tuple[str, list], tuple[str, list]]:
+    """The rows of female and of male applicants, as ``(("female", rows),
+    ("male", rows))``: the one gender split behind every per-gender table.
+    """
+    return (("female", [r for r in rows if r.female]),
+            ("male", [r for r in rows if not r.female]))
 
 
 def build_design(rows, base_columns=None, interactions: bool = True) -> DesignMatrix:
@@ -230,14 +237,14 @@ def build_design(rows, base_columns=None, interactions: bool = True) -> DesignMa
     Rows cluster by competition.
     """
     if base_columns is None:
-        base_columns = FEATURE_ORDER
-    unknown = [c for c in base_columns if c not in _FEATURE_ATTR]
+        base_columns = list(FEATURES)
+    unknown = [c for c in base_columns if c not in FEATURES]
     if unknown:
         raise ConfigError(f"unknown design columns: {unknown}")
     if interactions and "G" not in base_columns:
         raise ConfigError("interactions require the gender column")
     n = len(rows)
-    values = {c: np.array([getattr(r, _FEATURE_ATTR[c]) for r in rows], dtype=float)
+    values = {c: np.array([getattr(r, FEATURES[c]) for r in rows], dtype=float)
               for c in base_columns}
     names = ["const"]
     columns = [np.ones(n)]
@@ -267,10 +274,6 @@ def write_features(rows, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(EXPORT_COLUMNS)
         for r in rows:
-            writer.writerow([
-                r.competition_id, r.researcher_id, r.won, r.female,
-                repr(r.merit_pct), r.surname_match, r.years_with_president,
-                r.years_with_members, repr(r.president_coauth_share),
-                r.coauthoring_members, r.same_gender_president,
-                r.same_gender_majority,
-            ])
+            # csv writes a float as its repr
+            writer.writerow([r.competition_id, r.researcher_id, r.won,
+                             *(getattr(r, attr) for attr in FEATURES.values())])

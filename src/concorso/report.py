@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-from .features import FEATURE_ORDER, _FEATURE_ATTR, build_design
-from .stats import RegressionResult, bonferroni, pearson, vif
+from .features import FEATURES, build_design, by_gender
+from .stats import RegressionResult, adjust_family, bonferroni, pearson, vif
 
 SIGNIFICANCE_LEGEND = (
     "Statistical significance: *p-value <0.10, **p-value <0.05, "
@@ -30,7 +30,7 @@ BASELINE_NOTE = (
     "Citation baselines and percentile cohorts are computed from the loaded "
     "corpus itself, not from a national reference.")
 
-REGRESSOR_VARS = [c for c in FEATURE_ORDER if c != "G"]
+REGRESSOR_VARS = [c for c in FEATURES if c != "G"]
 CORRELATION_VARS = ["E"] + REGRESSOR_VARS
 
 
@@ -181,9 +181,7 @@ def _group_stats(values: list[float]) -> dict:
 
 def descriptives_dict(rows) -> dict:
     twin: dict = {}
-    for label, selector in (("female", lambda r: r.female),
-                            ("male", lambda r: not r.female)):
-        subset = [r for r in rows if selector(r)]
+    for label, subset in by_gender(rows):
         winners = [r for r in subset if r.won]
         losers = [r for r in subset if not r.won]
         block = {
@@ -193,7 +191,7 @@ def descriptives_dict(rows) -> dict:
             "variables": {},
         }
         for var in REGRESSOR_VARS:
-            attr = _FEATURE_ATTR[var]
+            attr = FEATURES[var]
             block["variables"][var] = {
                 "winners": _group_stats([getattr(r, attr) for r in winners]),
                 "non_winners": _group_stats([getattr(r, attr) for r in losers]),
@@ -233,14 +231,11 @@ def render_descriptives(twin: dict) -> str:
 
 def correlations_dict(rows) -> dict:
     twin: dict = {"variables": CORRELATION_VARS}
-    for label, selector in (("female", lambda r: r.female),
-                            ("male", lambda r: not r.female)):
-        subset = [r for r in rows if selector(r)]
+    for label, subset in by_gender(rows):
         values = {"E": [float(r.won) for r in subset]}
         for var in REGRESSOR_VARS:
-            values[var] = [float(getattr(r, _FEATURE_ATTR[var])) for r in subset]
+            values[var] = [float(getattr(r, FEATURES[var])) for r in subset]
         pairs: dict[str, dict | None] = {}
-        computable = []
         for i, a in enumerate(CORRELATION_VARS):
             for b in CORRELATION_VARS[i + 1:]:
                 key = f"{a}:{b}"
@@ -248,12 +243,9 @@ def correlations_dict(rows) -> dict:
                     res = pearson(values[a], values[b])
                     pairs[key] = {"r": res.r, "p": res.p_two_sided,
                                   "p_adj": None}
-                    computable.append(key)
                 except NumericError:
                     pairs[key] = None
-        m = len(computable)
-        for key in computable:
-            pairs[key]["p_adj"] = bonferroni([pairs[key]["p"]], m)[0]
+        m = adjust_family(pairs.values(), "p", "p_adj")
         block = {"n": len(subset), "n_tests": m, "pairs": pairs,
                  "vif": None, "vif_average": None, "vif_note": None}
         try:

@@ -30,19 +30,6 @@ OTHERS_SHARE_DIFF_UNI = 0.10
 
 
 @dataclass
-class BaselineTable:
-    """(year, subject category) → mean citations of cited publications."""
-
-    cells: dict[tuple[int, str], float] = field(default_factory=dict)
-
-    def get(self, year: int, category: str) -> float | None:
-        return self.cells.get((year, category))
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-@dataclass
 class ProductivityScore:
     researcher_id: str
     fss: float
@@ -51,9 +38,9 @@ class ProductivityScore:
     percentile: float | None = None
 
 
-def compute_baselines(corpus: Corpus) -> BaselineTable:
-    """Mean citations per (year, category) cell, cited publications only,
-    over the corpus's productivity window.
+def compute_baselines(corpus: Corpus) -> dict[tuple[int, str], float]:
+    """Mean citations per (year, subject category) cell, cited publications
+    only, over the corpus's productivity window.
 
     Zero-cited publications neither enter the mean nor create a cell, so
     every stored value is positive and cells with no cited publication are
@@ -68,7 +55,7 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
         key = (pub.year, pub.subject_category_id)
         sums[key] = sums.get(key, 0) + pub.citations
         counts[key] = counts.get(key, 0) + 1
-    return BaselineTable({key: sums[key] / counts[key] for key in sums})
+    return {key: sums[key] / counts[key] for key in sums}
 
 
 def _effective_university(entry, focal_university: str | None) -> str | None:
@@ -147,7 +134,7 @@ def fractional_contribution(
 def compute_fss(
     researcher: Researcher,
     corpus: Corpus,
-    baselines: BaselineTable,
+    baselines: dict[tuple[int, str], float],
 ) -> ProductivityScore:
     """Average yearly normalized fractional output inside the corpus's
     productivity window.
@@ -170,7 +157,7 @@ def compute_fss(
         n_pubs += 1
         if pub.citations < 1:
             continue
-        baseline = baselines.get(pub.year, pub.subject_category_id)
+        baseline = baselines.get((pub.year, pub.subject_category_id))
         if baseline is None:
             continue
         position = pub.position_of(researcher.id)

@@ -35,7 +35,6 @@ class TestResult:
     df: float | tuple[float, float]
     p_one_sided: float
     p_two_sided: float
-    p_bonferroni: float | None = None
     r: float | None = None
 
 
@@ -122,6 +121,18 @@ def bonferroni(p_values, m: int | None = None) -> list[float]:
     if m is None:
         m = len(p_values)
     return [min(1.0, m * p) for p in p_values]
+
+
+def adjust_family(cells, p_key: str, adj_key: str) -> int:
+    """Bonferroni-adjust one test family in place and return its size m.
+
+    The family is every cell that is not None and whose ``p_key`` is set;
+    each gets ``cell[adj_key] = min(1, m * cell[p_key])``.
+    """
+    family = [c for c in cells if c is not None and c[p_key] is not None]
+    for cell in family:
+        cell[adj_key] = bonferroni([cell[p_key]], len(family))[0]
+    return len(family)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ CONTRIBUTION_SHARE = 0.5      # fraction of fields ordering by contribution
 COAUTHOR_FULL_RATE = 0.35     # chance a publication adds local full professors
 COAUTHOR_PEER_RATE = 0.30     # chance it adds a same-field colleague
 COMPETITION_YEAR = 2008
+# the latest career start that leaves an applicant eligible in the competition
+LATEST_ELIGIBLE_START = COMPETITION_YEAR - MIN_CAREER_YEARS
 
 
 @dataclass
@@ -121,10 +123,11 @@ def validate_config(cfg: GenConfig) -> None:
     if cfg.researchers_per_sds < 1:
         bad(f"researchers_per_sds must be >= 1, got {cfg.researchers_per_sds}")
     n_full, n_aso, n_ast = _rank_split(cfg.researchers_per_sds)
-    if n_ast < 2:
+    if n_ast < cfg.winners_per_competition + 1:  # winners and a non-winner
         bad(f"researchers_per_sds={cfg.researchers_per_sds} leaves "
-            f"{max(n_ast, 0)} assistant professors after seating {n_full} "
-            "full and committee-eligible professors; need at least 2")
+            f"{max(n_ast, 0)} assistant professors after seating {n_full} full "
+            f"and {n_aso} associate professors; need at least "
+            f"{cfg.winners_per_competition + 1}")
     if not 0.0 <= cfg.female_share <= 1.0:
         bad(f"female_share must lie in [0,1], got {cfg.female_share}")
     if cfg.surname_pool < 1:
@@ -148,13 +151,9 @@ def validate_config(cfg: GenConfig) -> None:
         if window[0] > window[1]:
             bad(f"window {window[0]}:{window[1]} is reversed")
     # every eligible applicant starts by this year and needs a score
-    latest_eligible_start = COMPETITION_YEAR - MIN_CAREER_YEARS
-    if cfg.productivity_window[1] < latest_eligible_start:
+    if cfg.productivity_window[1] < LATEST_ELIGIBLE_START:
         bad(f"productivity window ends {cfg.productivity_window[1]}, before "
-            f"{latest_eligible_start}: eligible applicants would go unscored")
-    guaranteed = cfg.winners_per_competition + 1
-    if n_ast < guaranteed:
-        bad(f"need at least {guaranteed} assistant professors per SDS")
+            f"{LATEST_ELIGIBLE_START}: eligible applicants would go unscored")
 
 
 def _zipf_probs(pool: int) -> np.ndarray:
@@ -194,7 +193,6 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
 
     n_full, n_aso, n_ast = _rank_split(cfg.researchers_per_sds)
     guaranteed_eligible = cfg.winners_per_competition + 1
-    latest_eligible_start = COMPETITION_YEAR - MIN_CAREER_YEARS
 
     fulls: dict[str, list[str]] = {s: [] for s in sds_ids}
     assistants: dict[str, list[str]] = {s: [] for s in sds_ids}
@@ -214,9 +212,9 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                 # the first few assistants are guaranteed eligible so every
                 # competition can field a winner and a comparison loser
                 if j < n_full + n_aso + guaranteed_eligible:
-                    start = int(rng.integers(1996, min(2005, latest_eligible_start) + 1))
+                    start = int(rng.integers(1996, LATEST_ELIGIBLE_START + 1))
                 else:
-                    start = int(rng.integers(1996, 2008))
+                    start = int(rng.integers(1996, COMPETITION_YEAR))
             gender = Gender.FEMALE if rng.random() < cfg.female_share else Gender.MALE
             surname = f"fam{int(rng.choice(cfg.surname_pool, p=name_probs)):03d}"
             base_uni = universities[int(rng.integers(0, cfg.n_universities))]
@@ -300,7 +298,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     for sds_id in sds_ids:
         eligible_pool = [a for a in assistants[sds_id]
                          if corpus.researchers[a].career_start_year
-                         <= latest_eligible_start]
+                         <= LATEST_ELIGIBLE_START]
         pool = fulls[sds_id]
         # full professors by university in the competition year, in pool order
         local_fulls: dict[str, list[str]] = {}

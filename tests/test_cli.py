@@ -140,11 +140,14 @@ def test_report_fit_failure_exits_2_after_score_and_audit(tmp_path, capsys):
 
 
 def test_infeasible_generator_config(tmp_path, capsys):
-    code = main(["gen", "--out-dir", str(tmp_path / "x"),
-                 "--researchers-per-sds", "0"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "researchers_per_sds" in err
+    for flag, value, named in (("--researchers-per-sds", "0",
+                                "researchers_per_sds"),
+                               ("--noise-sd", "nan", "noise_sd")):
+        code = main(["gen", "--out-dir", str(tmp_path / "x"), flag, value])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert named in err
+        assert not (tmp_path / "x").exists()  # a rejected gen writes nothing
 
 
 def test_bad_flags_exit_config(tmp_path, capsys):
@@ -414,6 +417,25 @@ def test_report_golden_hashes(golden_corpus, tmp_path, capsys):
     assert main(["report", "--input-dir", str(golden_corpus),
                  "--out-dir", str(tmp_path)]) == 0
     assert digests(tmp_path) == GOLDEN_REPORT_S
+
+
+def test_invalid_corpus_exits_1_naming_the_violation(golden_corpus, tmp_path,
+                                                     capsys):
+    corpus_dir, out_dir = tmp_path / "corpus", tmp_path / "out"
+    shutil.copytree(golden_corpus, corpus_dir)
+    path = corpus_dir / "publications.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["citations"] = -3
+    lines[0] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    code = main(["report", "--input-dir", str(corpus_dir),
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "corpus failed validation" in err
+    assert f"publication {record['id']}: negative citations -3" in err
+    assert not out_dir.exists()
 
 
 def test_stages_one_by_one_equal_report(golden_corpus, tmp_path, capsys):

@@ -276,6 +276,77 @@ def test_unreadable_csv_names_file_and_line(tmp_path):
     assert "invalid CSV" in str(err.value)
 
 
+ONE_COMPETITION = (
+    '{"id": "c1", "sds": "MAT-05", "university": "U1", "year": 2008,'
+    ' "president": "r2", "members": ["r1", "r1", "r1", "r1"],'
+    ' "applicants": ["r1", "ext-jones"], "winners": ["r1"]}\n'
+)
+P2_BYLINE = '"byline": [{"author": "r3", "university": "U2"}]'
+
+
+def _loaded(corpus):
+    return (corpus.taxonomy, corpus.researchers, corpus.publications,
+            corpus.competitions)
+
+
+@pytest.mark.parametrize("name, old, new, error, detail", [
+    ("taxonomy.csv", "MAT-05,09", " ,09", MalformedRecord,
+     {"line_no": 2, "field": "sds_id"}),
+    ("researchers.csv", "r1,F", ",F", MalformedRecord,
+     {"line_no": 2, "field": "id"}),
+    ("competitions.jsonl", ONE_COMPETITION, "[]\n", MalformedRecord,
+     {"line_no": 1, "field": "-"}),
+    ("competitions.jsonl", '"members": ["r1", "r1"', '"members": ["r1", 1',
+     MalformedRecord, {"line_no": 1, "field": "members"}),
+    ("competitions.jsonl", '"applicants": ["r1", "ext-jones"]',
+     '"applicants": "r1"', MalformedRecord,
+     {"line_no": 1, "field": "applicants"}),
+    ("competitions.jsonl", '"winners": ["r1"]', '"winners": [null]',
+     MalformedRecord, {"line_no": 1, "field": "winners"}),
+    ("publications.jsonl", '"id": "p2"', '"id": 2', MalformedRecord,
+     {"line_no": 2, "field": "id"}),
+    ("publications.jsonl", '"id": "p2"', '"id": ""', MalformedRecord,
+     {"line_no": 2, "field": "id"}),
+    ("publications.jsonl", P2_BYLINE, '"byline": {"author": "r3"}',
+     MalformedRecord, {"line_no": 2, "field": "byline"}),
+    ("publications.jsonl", P2_BYLINE, '"byline": ["r3"]', MalformedRecord,
+     {"line_no": 2, "field": "byline"}),
+    ("publications.jsonl", '"author": "r3"', '"author": 3', MalformedRecord,
+     {"line_no": 2, "field": "byline"}),
+    ("publications.jsonl", '"university": "U2"', '"university": ["U2"]',
+     MalformedRecord, {"line_no": 2, "field": "byline"}),
+    ("competitions.jsonl", '"id": "c1"', '"id": ""', MalformedRecord,
+     {"line_no": 1, "field": "id"}),
+    ("taxonomy.csv", "FIS-01,02", "MAT-05,02", DuplicateId,
+     {"entity": "sds", "dup_id": "MAT-05"}),
+    ("competitions.jsonl", ONE_COMPETITION, ONE_COMPETITION * 2, DuplicateId,
+     {"entity": "competition", "dup_id": "c1"}),
+    # blank JSONL lines and empty affiliation pieces are skipped
+    ("publications.jsonl", '\n{"id": "p2"', '\n\n{"id": "p2"', None, {}),
+    ("researchers.csv", ",2006:U2:MAT-05", ",;2006:U2:MAT-05;;", None, {}),
+])
+def test_loader_edge_cases(tmp_path, name, old, new, error, detail):
+    # one edit of one file of a small valid corpus
+    base, edited = tmp_path / "base", tmp_path / "edited"
+    for directory in (base, edited):
+        directory.mkdir()
+        write_inputs(directory, researchers=THREE_RESEARCHERS,
+                     publications=TWO_PUBLICATIONS, competitions=ONE_COMPETITION)
+    path = edited / name
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    if error is None:
+        assert _loaded(load_corpus(edited)) == _loaded(load_corpus(base))
+        return
+    with pytest.raises(error) as err:
+        load_corpus(edited)
+    for attr, value in detail.items():
+        assert getattr(err.value, attr) == value
+    if error is MalformedRecord:
+        assert str(err.value).startswith(f"{path}:{detail['line_no']}: ")
+
+
 def make_validation_fixture(tmp_path):
     researchers = (
         "r1,F,Rossi,U1,MAT-05,AST,2000,,\n"

@@ -209,6 +209,8 @@ def test_infeasible_configs_rejected():
     cases = [
         dict(researchers_per_sds=0),
         dict(researchers_per_sds=6),          # no assistants left
+        # 2 assistants: enough for one winner, not for two plus a non-winner
+        dict(researchers_per_sds=8, winners_per_competition=2),
         dict(n_sds=0),
         dict(n_universities=0),
         dict(female_share=1.5),

@@ -23,6 +23,13 @@ Byline authors and competition applicants that do not resolve to roster
 researchers are kept as opaque external keys: they shape fractional weights
 and competition rosters but never receive scores. Committee members and
 presidents, by contrast, must resolve.
+
+The record types (``SdsRecord``, ``Researcher``, ``Publication``,
+``Competition`` and ``BylineEntry``) are slotted dataclasses: a corpus holds
+one per field, researcher, publication, competition and byline position, and
+a per-instance ``__dict__`` would be most of their memory. Byline entries
+are also frozen, so a loaded or generated corpus shares one entry object
+between every byline that names the same author at the same university.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ class Convention(str, Enum):
     CONTRIBUTION = "CONTRIB"
 
 
-@dataclass
+@dataclass(slots=True)
 class SdsRecord:
     """One fine-grained field (SDS) with its discipline (UDA) and convention."""
 
@@ -73,7 +80,7 @@ class SdsRecord:
     convention: Convention
 
 
-@dataclass
+@dataclass(slots=True)
 class Researcher:
     id: str
     gender: Gender
@@ -117,13 +124,15 @@ class Researcher:
         return max(0, hi - lo + 1)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class BylineEntry:
+    """One byline position; immutable, so bylines may share it."""
+
     author: str | None  # researcher id, opaque external key, or unknown
     university: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Publication:
     id: str
     year: int
@@ -138,7 +147,7 @@ class Publication:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class Competition:
     id: str
     sds_id: str
@@ -179,11 +188,14 @@ class Corpus:
         if self._pubs_by_author is None:
             index: dict[str, list[Publication]] = {}
             for pub in self.publications.values():
-                seen: set[str] = set()
                 for entry in pub.byline:
-                    if entry.author is not None and entry.author not in seen:
-                        index.setdefault(entry.author, []).append(pub)
-                        seen.add(entry.author)
+                    if entry.author is None:
+                        continue
+                    pubs = index.get(entry.author)
+                    if pubs is None:
+                        index[entry.author] = [pub]
+                    elif pubs[-1] is not pub:  # an author listed twice: once
+                        pubs.append(pub)
             self._pubs_by_author = index
         return self._pubs_by_author.get(author_id, [])
 
@@ -359,6 +371,7 @@ def _coerce_str_list(value, path, line_no: int, key: str) -> list[str]:
 
 def _load_publications(path: Path) -> dict[str, Publication]:
     publications: dict[str, Publication] = {}
+    entries: dict[tuple[str | None, str | None], BylineEntry] = {}
     for line_no, record in _jsonl_records(path):
         pid = _record_field(record, "id", path, line_no)
         if not isinstance(pid, str) or not pid:
@@ -378,7 +391,10 @@ def _load_publications(path: Path) -> dict[str, Publication]:
                 raise MalformedRecord(path, line_no, "byline", "author must be string or null")
             if university is not None and not isinstance(university, str):
                 raise MalformedRecord(path, line_no, "byline", "university must be string or null")
-            byline.append(BylineEntry(author=author, university=university))
+            shared = entries.get((author, university))
+            if shared is None:
+                shared = entries[author, university] = BylineEntry(author, university)
+            byline.append(shared)
         publications[pid] = Publication(
             id=pid,
             year=_coerce_int(_record_field(record, "year", path, line_no), path, line_no, "year"),

@@ -26,7 +26,7 @@ from .stats import DesignMatrix
 MIN_CAREER_YEARS = 3  # applicants hired more recently are excluded
 
 
-@dataclass
+@dataclass(slots=True)
 class ApplicantFeatures:
     competition_id: str
     researcher_id: str

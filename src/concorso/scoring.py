@@ -23,13 +23,12 @@ from .errors import InvalidByline, NoCareerOverlap
 
 # Weights under the contribution-ordered convention.
 FIRST_LAST_SAME_UNI = 0.40   # first and last author, same university
-MIDDLE_SHARE_SAME_UNI = 0.20
 FIRST_LAST_DIFF_UNI = 0.30   # first and last author, different universities
 SECOND_SLOT_DIFF_UNI = 0.15
 OTHERS_SHARE_DIFF_UNI = 0.10
 
 
-@dataclass
+@dataclass(slots=True)
 class ProductivityScore:
     researcher_id: str
     fss: float

@@ -156,9 +156,14 @@ def validate_config(cfg: GenConfig) -> None:
             f"{LATEST_ELIGIBLE_START}: eligible applicants would go unscored")
 
 
-def _zipf_probs(pool: int) -> np.ndarray:
+def _zipf_cdf(pool: int) -> np.ndarray:
+    """Cumulative Zipf surname shares, built as ``Generator.choice`` builds
+    its cdf from ``p``: searching it with one ``random()`` draw picks the
+    index, and consumes the draw, that ``choice(pool, p=probs)`` would."""
     weights = 1.0 / np.arange(1, pool + 1)
-    return weights / weights.sum()
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _nth_free(k: int, taken: list[int]) -> int:
@@ -180,7 +185,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                     collaboration_window=cfg.collaboration_window)
     year_lo, year_hi = corpus.year_range
     universities = [f"U{i + 1:02d}" for i in range(cfg.n_universities)]
-    name_probs = _zipf_probs(cfg.surname_pool)
+    name_cdf = _zipf_cdf(cfg.surname_pool)
 
     sds_ids = []
     for i in range(cfg.n_sds):
@@ -216,7 +221,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                 else:
                     start = int(rng.integers(1996, COMPETITION_YEAR))
             gender = Gender.FEMALE if rng.random() < cfg.female_share else Gender.MALE
-            surname = f"fam{int(rng.choice(cfg.surname_pool, p=name_probs)):03d}"
+            surname = f"fam{int(name_cdf.searchsorted(rng.random(), side='right')):03d}"
             base_uni = universities[int(rng.integers(0, cfg.n_universities))]
             moves: tuple[tuple[int, str, str], ...] = ()
             if cfg.n_universities > 1 and rng.random() < cfg.mobility_rate:
@@ -240,11 +245,14 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
             elif rank is Rank.ASSISTANT:
                 assistants[sds_id].append(rid)
 
-    # each researcher's byline university per corpus year, base outside the career
-    byline_unis = {
-        rid: tuple(affiliation[0] if affiliation else r.university_id
-                   for affiliation in r.timeline(year_lo, year_hi))
-        for rid, r in corpus.researchers.items()}
+    # each researcher's byline entry per corpus year (base university outside
+    # the career): one entry per university, shared by every byline
+    byline_entries = {}
+    for rid, r in corpus.researchers.items():
+        unis = [affiliation[0] if affiliation else r.university_id
+                for affiliation in r.timeline(year_lo, year_hi)]
+        entry = {uni: BylineEntry(rid, uni) for uni in set(unis)}
+        byline_entries[rid] = tuple(entry[uni] for uni in unis)
 
     # publications: per researcher-year Poisson counts with sampled coauthors
     pub_counter = 0
@@ -252,6 +260,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     for sds_id in sds_ids:
         field_peers = peers[sds_id]
         place = {p: i for i, p in enumerate(field_peers)}
+        categories = (f"{sds_id}:c1", f"{sds_id}:c2")
         for rid in field_peers:
             researcher = corpus.researchers[rid]
             full_pool = [f for f in fulls[sds_id] if f != rid]
@@ -274,22 +283,23 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                     for _ in range(int(rng.integers(0, 4))):
                         ext_counter += 1
                         authors.append(f"x{ext_counter:05d}")
-                    order = rng.permutation(len(authors))
+                    # the draws and order of indexing by rng.permutation
+                    rng.shuffle(authors)
                     byline = []
-                    for pos in order:
-                        author = authors[pos]
-                        known = byline_unis.get(author)
+                    for author in authors:
+                        known = byline_entries.get(author)
                         if known is not None:
-                            uni = known[year - year_lo]
+                            byline.append(known[year - year_lo])
                         else:
                             uni = (None if rng.random() < 0.5 else
                                    universities[int(rng.integers(0, cfg.n_universities))])
-                        byline.append(BylineEntry(author, uni))
+                            byline.append(BylineEntry(author, uni))
                     rate = rng.gamma(CITATION_DISPERSION,
                                      CITATION_MEAN / CITATION_DISPERSION)
-                    corpus.publications[f"p{pub_counter:06d}"] = Publication(
-                        id=f"p{pub_counter:06d}", year=year,
-                        subject_category_id=f"{sds_id}:c{int(rng.integers(1, 3))}",
+                    pid = f"p{pub_counter:06d}"
+                    corpus.publications[pid] = Publication(
+                        id=pid, year=year,
+                        subject_category_id=categories[int(rng.integers(1, 3)) - 1],
                         citations=int(rng.poisson(rate)), byline=byline)
 
     # competitions, provisional (winners assigned after feature extraction)

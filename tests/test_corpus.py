@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,8 @@ from concorso.errors import (
     DuplicateId,
     MalformedRecord,
 )
+from concorso.features import ApplicantFeatures
+from concorso.scoring import ProductivityScore
 
 RESEARCHER_HEADER = ("id,gender,family_name,university_id,sds_id,rank,"
                      "career_start_year,career_end_year,affiliation_history\n")
@@ -135,6 +138,47 @@ def test_publications_by_author_index(tmp_path):
     assert [p.id for p in corpus.publications_by_author("r1")] == ["p1"]
     assert [p.id for p in corpus.publications_by_author("ext-smith")] == ["p1"]
     assert corpus.publications_by_author("nobody") == []
+
+
+# r1 again at U1 (as in p1), then listed a second time at U2
+REPEAT_AUTHOR_PUBLICATION = (
+    '{"id": "p3", "year": 2006, "subject_category": "SC1", "citations": 4,'
+    ' "byline": [{"author": "r2", "university": "U1"},'
+    ' {"author": "r1", "university": "U1"},'
+    ' {"author": "r1", "university": "U2"}]}\n'
+)
+
+
+@pytest.mark.parametrize("record_type", [
+    SdsRecord, Researcher, BylineEntry, Publication, Competition,
+    ProductivityScore, ApplicantFeatures])
+def test_record_types_have_no_instance_dict(record_type):
+    assert not hasattr(record_type.__new__(record_type), "__dict__")
+
+
+def test_byline_entries_are_immutable():
+    entry = BylineEntry("r1", "U1")
+    with pytest.raises(FrozenInstanceError):
+        entry.author = "r2"
+
+
+def test_loaded_bylines_share_entries(tmp_path):
+    corpus = load_corpus(write_inputs(
+        tmp_path, researchers=THREE_RESEARCHERS,
+        publications=TWO_PUBLICATIONS + REPEAT_AUTHOR_PUBLICATION))
+    p1, p3 = corpus.publications["p1"], corpus.publications["p3"]
+    assert p3.byline[1] is p1.byline[0]
+    assert p3.byline[0] is p1.byline[1]
+    assert p3.byline[2] == BylineEntry("r1", "U2")
+
+
+def test_author_listed_twice_is_indexed_once(tmp_path):
+    corpus = load_corpus(write_inputs(
+        tmp_path, researchers=THREE_RESEARCHERS,
+        publications=TWO_PUBLICATIONS + REPEAT_AUTHOR_PUBLICATION))
+    assert [p.id for p in corpus.publications_by_author("r1")] == ["p1", "p3"]
+    assert [p.id for p in corpus.publications_by_author("r2")] == ["p1", "p3"]
+    assert corpus.publications["p3"].position_of("r1") == 1
 
 
 def test_unknown_president_is_dangling(tmp_path):

@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from concorso.synthgen import (
     COMPETITION_YEAR,
     GenConfig,
     _nth_free,
+    _zipf_cdf,
     LatentWeights,
     generate,
     generate_to_dir,
@@ -320,3 +322,34 @@ def test_nth_free_equals_filtered_list_pick(n, data):
     free = [p for p in peers if p not in authors]
     for k in range(len(free)):
         assert peers[_nth_free(k, [place[a] for a in authors])] == free[k]
+
+
+# The generator draws a surname by searching _zipf_cdf and orders a byline
+# with a list shuffle, in place of Generator.choice(p=...) and
+# Generator.permutation. The output bytes rest on these being the same draws;
+# a numpy release that changes either fails here by name.
+
+@pytest.mark.parametrize("pool", [1, 2, 40])
+def test_surname_cdf_search_draws_what_choice_draws(pool):
+    weights = 1.0 / np.arange(1, pool + 1)
+    probs = weights / weights.sum()
+    cdf = _zipf_cdf(pool)
+    for seed in range(200):
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert (int(cdf.searchsorted(fast.random(), side="right"))
+                    == int(ref.choice(pool, p=probs)))
+            assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_list_shuffle_draws_what_permutation_draws(n):
+    # shuffle swaps by position, whatever the list holds, so the generator
+    # shuffles its author list itself
+    for seed in range(200):
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            order = list(range(n))
+            fast.shuffle(order)
+            assert order == ref.permutation(n).tolist()
+            assert fast.random() == ref.random()

@@ -22,7 +22,9 @@ Input files (one directory, fixed names unless paths are given explicitly):
 Byline authors and competition applicants that do not resolve to roster
 researchers are kept as opaque external keys: they shape fractional weights
 and competition rosters but never receive scores. Committee members and
-presidents, by contrast, must resolve.
+presidents, by contrast, must resolve. Publications of any year load and
+validate: each reader keeps to its own window, so a publication outside both
+windows is ignored, not rejected.
 
 The record types (``SdsRecord``, ``Researcher``, ``Publication``,
 ``Competition`` and ``BylineEntry``) are slotted dataclasses: a corpus holds
@@ -100,16 +102,11 @@ class Researcher:
 
     def affiliation_in(self, year: int) -> tuple[str, str] | None:
         """(university, sds) for a career year, None outside the career."""
-        if not self.active_in(year):
-            return None
-        hit = None
-        for y, uni, sds in self.affiliations:
-            if y == year:
-                hit = (uni, sds)
-        return hit if hit is not None else (self.university_id, self.sds_id)
+        return self.timeline(year, year)[0]
 
     def timeline(self, lo: int, hi: int) -> tuple[tuple[str, str] | None, ...]:
-        """``affiliation_in(year)`` for each year from lo to hi, in one pass."""
+        """(university, sds) for each year from lo to hi, None outside the
+        career; of two overrides for one year, the later one wins."""
         base = (self.university_id, self.sds_id)
         line = [base if self.active_in(year) else None
                 for year in range(lo, hi + 1)]
@@ -140,12 +137,6 @@ class Publication:
     citations: int
     byline: list[BylineEntry]
 
-    def position_of(self, researcher_id: str) -> int | None:
-        for i, entry in enumerate(self.byline):
-            if entry.author == researcher_id:
-                return i
-        return None
-
 
 @dataclass(slots=True)
 class Competition:
@@ -165,7 +156,11 @@ class Competition:
 
 @dataclass
 class Corpus:
-    """Immutable-after-load container for every entity plus the windows."""
+    """Every entity plus the windows; nothing changes it after load.
+
+    It holds no derived index or cache: readers that need a lookup (the
+    scoring pass, the feature index) build their own from these fields.
+    """
 
     researchers: dict[str, Researcher] = field(default_factory=dict)
     publications: dict[str, Publication] = field(default_factory=dict)
@@ -173,31 +168,11 @@ class Corpus:
     taxonomy: dict[str, SdsRecord] = field(default_factory=dict)
     productivity_window: tuple[int, int] = DEFAULT_PRODUCTIVITY_WINDOW
     collaboration_window: tuple[int, int] = DEFAULT_COLLABORATION_WINDOW
-    _pubs_by_author: dict[str, list[Publication]] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def year_range(self) -> tuple[int, int]:
         return (min(self.productivity_window[0], self.collaboration_window[0]),
                 max(self.productivity_window[1], self.collaboration_window[1]))
-
-    def convention_for(self, sds_id: str) -> Convention:
-        return self.taxonomy[sds_id].convention
-
-    def publications_by_author(self, author_id: str) -> list[Publication]:
-        if self._pubs_by_author is None:
-            index: dict[str, list[Publication]] = {}
-            for pub in self.publications.values():
-                for entry in pub.byline:
-                    if entry.author is None:
-                        continue
-                    pubs = index.get(entry.author)
-                    if pubs is None:
-                        index[entry.author] = [pub]
-                    elif pubs[-1] is not pub:  # an author listed twice: once
-                        pubs.append(pub)
-            self._pubs_by_author = index
-        return self._pubs_by_author.get(author_id, [])
 
 
 @dataclass
@@ -504,9 +479,12 @@ def load_corpus(
 # ---------------------------------------------------------------------------
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Check every type invariant; violations are data, not failures."""
+    """Check every type invariant; violations are data, not failures.
+
+    Publication years are not checked against the windows, which only
+    decide what each reader looks at.
+    """
     report = ValidationReport()
-    lo, hi = corpus.year_range
 
     for r in corpus.researchers.values():
         if r.career_end_year is not None and r.career_end_year < r.career_start_year:
@@ -527,9 +505,6 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             report.add("publication", pub.id, "empty byline")
         if pub.citations < 0:
             report.add("publication", pub.id, f"negative citations {pub.citations}")
-        if not lo <= pub.year <= hi:
-            report.add("publication", pub.id,
-                       f"year {pub.year} outside corpus range {lo}-{hi}")
 
     for comp in corpus.competitions.values():
         if len(comp.members) != 4:

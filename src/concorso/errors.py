@@ -54,11 +54,7 @@ class DuplicateId(DataError):
 # scoring
 
 class InvalidByline(NumericError):
-    """Byline cannot carry fractional weights (empty or bad position)."""
-
-
-class NoCareerOverlap(NumericError):
-    """Researcher has no career years inside the scoring window."""
+    """An empty byline, which cannot carry fractional weights."""
 
 
 # features

@@ -99,9 +99,10 @@ def filter_eligible(corpus: Corpus) -> EligibilityResult:
 
 class _Index:
     """Lookups shared by the competitions of one extraction call: surnames of
-    full professors by university (one pass over researchers per year), and
-    per-researcher affiliation timelines and publication ids in the corpus's
-    collaboration window.
+    full professors by university (one pass over researchers per year),
+    per-researcher affiliation timelines, and ``pub_ids``, each roster
+    researcher's publication ids in the corpus's collaboration window (one
+    pass over publications, at construction).
     """
 
     def __init__(self, corpus: Corpus) -> None:
@@ -109,7 +110,13 @@ class _Index:
         self.lo, self.hi = corpus.collaboration_window
         self._names: dict[int, dict[str, set[str]]] = {}
         self._timelines: dict[str, tuple[tuple[str, str] | None, ...]] = {}
-        self._pubs: dict[str, set[str]] = {}
+        self.pub_ids: dict[str, set[str]] = {rid: set() for rid in corpus.researchers}
+        for pub in corpus.publications.values():
+            if self.lo <= pub.year <= self.hi:
+                for entry in pub.byline:
+                    ids = self.pub_ids.get(entry.author)
+                    if ids is not None:
+                        ids.add(pub.id)
 
     def full_professor_names(self, university: str, year: int) -> set[str]:
         by_university = self._names.get(year)
@@ -131,14 +138,6 @@ class _Index:
             line = self._timelines[researcher_id] = self.corpus.researchers[
                 researcher_id].timeline(self.lo, self.hi)
         return line
-
-    def window_pub_ids(self, researcher_id: str) -> set[str]:
-        pubs = self._pubs.get(researcher_id)
-        if pubs is None:
-            pubs = self._pubs[researcher_id] = {
-                p.id for p in self.corpus.publications_by_author(researcher_id)
-                if self.lo <= p.year <= self.hi}
-        return pubs
 
 
 def _shared_years(a, b) -> int:
@@ -164,8 +163,8 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
     members = [corpus.researchers[m] for m in comp.members]
     president_line = index.timeline(comp.president)
     member_lines = [index.timeline(m) for m in comp.members]
-    president_pubs = index.window_pub_ids(comp.president)
-    member_pubs = [index.window_pub_ids(m) for m in comp.members]
+    president_pubs = index.pub_ids[comp.president]
+    member_pubs = [index.pub_ids[m] for m in comp.members]
     committee_genders = [president.gender] + [m.gender for m in members]
     winner_set = set(comp.winners)
 
@@ -175,7 +174,7 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
         percentile = scores.percentile_of(rid)
         if percentile is None:
             raise MissingScore(f"applicant {rid} has no productivity score")
-        applicant_pubs = index.window_pub_ids(rid)
+        applicant_pubs = index.pub_ids[rid]
         line = index.timeline(rid)
 
         cp = _shared_years(line, president_line)

@@ -4,8 +4,11 @@ A researcher's yearly productivity is the sum, over their publications in
 the observation window, of citations normalized by the mean citations of
 cited publications from the same year and subject category, weighted by the
 researcher's fractional contribution to the byline, divided by the career
-years falling inside the window. Scores are then ranked 0-100 within each
-SDS and academic-rank cohort (worst to best).
+years falling inside the window. The contribution is the weight of the
+researcher's first byline position under the byline convention of their own
+field. ``score_corpus`` builds every researcher's sum in one credit pass over
+the window's publications. Scores are then ranked 0-100 within each SDS and
+academic-rank cohort (worst to best).
 
 Baselines come from the loaded corpus itself, not a national reference, and
 percentile cohorts contain only the researchers the corpus happens to hold.
@@ -15,11 +18,12 @@ Both limitations are recorded in the score metadata.
 from __future__ import annotations
 
 import csv
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Convention, Corpus, Rank, Researcher
-from .errors import InvalidByline, NoCareerOverlap
+from .corpus import Convention, Corpus, Rank
+from .errors import InvalidByline
 
 # Weights under the contribution-ordered convention.
 FIRST_LAST_SAME_UNI = 0.40   # first and last author, same university
@@ -119,52 +123,6 @@ def publication_weights(
     return weights
 
 
-def fractional_contribution(
-    byline,
-    position: int,
-    convention: Convention,
-    focal_university: str | None = None,
-) -> float:
-    if not 0 <= position < len(byline):
-        raise InvalidByline(f"position {position} outside byline of size {len(byline)}")
-    return publication_weights(byline, convention, focal_university)[position]
-
-
-def compute_fss(
-    researcher: Researcher,
-    corpus: Corpus,
-    baselines: dict[tuple[int, str], float],
-) -> ProductivityScore:
-    """Average yearly normalized fractional output inside the corpus's
-    productivity window.
-
-    Publications with zero citations, and publications whose baseline cell
-    is absent, contribute nothing. Percentile is left unset; cohort ranking
-    happens in ``score_corpus``.
-    """
-    window = corpus.productivity_window
-    t = researcher.career_years_in(window)
-    if t == 0:
-        raise NoCareerOverlap(
-            f"researcher {researcher.id} has no career years in {window[0]}-{window[1]}")
-    convention = corpus.convention_for(researcher.sds_id)
-    total = 0.0
-    n_pubs = 0
-    for pub in corpus.publications_by_author(researcher.id):
-        if not window[0] <= pub.year <= window[1]:
-            continue
-        n_pubs += 1
-        if pub.citations < 1:
-            continue
-        baseline = baselines.get((pub.year, pub.subject_category_id))
-        if baseline is None:
-            continue
-        position = pub.position_of(researcher.id)
-        weight = fractional_contribution(pub.byline, position, convention)
-        total += (pub.citations / baseline) * weight
-    return ProductivityScore(researcher.id, total / t, t, n_pubs)
-
-
 def percentile_rank(values) -> list[float]:
     """Ascending average-rank percentiles on a 0-100 scale, worst to best.
 
@@ -206,20 +164,50 @@ class ScoreTable:
 
 
 def score_corpus(corpus: Corpus) -> ScoreTable:
-    """Score every roster researcher and rank within SDS × rank cohorts."""
-    baselines = compute_baselines(corpus)
-    table = ScoreTable(window=corpus.productivity_window,
-                       n_baseline_cells=len(baselines))
+    """Score every roster researcher and rank within SDS × rank cohorts.
 
+    One credit pass over the publications in the productivity window, in
+    corpus order: each roster author of a publication is counted once, at
+    their first byline position, and a cited publication adds its normalized
+    citations times that position's weight under the byline convention of
+    the author's own field. Zero-cited publications count towards
+    ``n_pubs`` only. Researchers with no career years in the window are
+    listed in ``skipped``; every other total is divided by those years.
+    """
+    window = corpus.productivity_window
+    researchers = corpus.researchers
+    baselines = compute_baselines(corpus)
+    totals = dict.fromkeys(researchers, 0.0)
+    n_pubs = dict.fromkeys(researchers, 0)
+    for pub in corpus.publications.values():
+        if not window[0] <= pub.year <= window[1]:
+            continue
+        first: dict[str | None, int] = {}
+        for position, entry in enumerate(pub.byline):
+            first.setdefault(entry.author, position)
+        weights: dict[Convention, list[float]] = {}
+        for rid, position in first.items():
+            if rid not in totals:
+                continue  # unknown or external author
+            n_pubs[rid] += 1
+            if pub.citations < 1:
+                continue
+            convention = corpus.taxonomy[researchers[rid].sds_id].convention
+            shares = weights.get(convention)
+            if shares is None:
+                shares = weights[convention] = publication_weights(pub.byline, convention)
+            baseline = baselines[pub.year, pub.subject_category_id]
+            totals[rid] += (pub.citations / baseline) * shares[position]
+
+    table = ScoreTable(window=window, n_baseline_cells=len(baselines))
     cohorts: dict[tuple[str, str], list[str]] = {}
-    for rid in sorted(corpus.researchers):
-        researcher = corpus.researchers[rid]
-        try:
-            score = compute_fss(researcher, corpus, baselines)
-        except NoCareerOverlap:
+    for rid in sorted(researchers):
+        researcher = researchers[rid]
+        t = researcher.career_years_in(window)
+        if t == 0:
             table.skipped.append(rid)
             continue
-        table.scores[rid] = score
+        table.scores[rid] = ProductivityScore(rid, totals[rid] / t, t, n_pubs[rid])
         cohorts.setdefault((researcher.sds_id, researcher.rank.value), []).append(rid)
 
     for members in cohorts.values():
@@ -236,13 +224,7 @@ def median_fss_by_sds(table: ScoreTable, corpus: Corpus) -> dict[str, float]:
         researcher = corpus.researchers[rid]
         if researcher.rank is Rank.ASSISTANT:
             by_sds.setdefault(researcher.sds_id, []).append(score.fss)
-    medians = {}
-    for sds, values in by_sds.items():
-        values.sort()
-        n = len(values)
-        mid = n // 2
-        medians[sds] = values[mid] if n % 2 else (values[mid - 1] + values[mid]) / 2
-    return medians
+    return {sds: statistics.median(values) for sds, values in by_sds.items()}
 
 
 def write_scores(table: ScoreTable, corpus: Corpus, path: str | Path) -> None:

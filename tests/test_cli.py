@@ -211,11 +211,12 @@ def test_window_flags_propagate(tmp_path, capsys):
     meta = json.loads((out_dir / "score_meta.json").read_text())
     assert tuple(meta["window"]) == (2005, 2007)
 
-    # the collaboration window reaches the features; publications must fall
-    # inside the corpus years, so this corpus is made with the narrow window
-    corpus_dir = tmp_path / "narrow"
+    # the collaboration window reaches the features and not the scores; a
+    # corpus made with the default windows holds publications outside the
+    # narrow one, which are ignored
+    corpus_dir = tmp_path / "corpus-seed1"
     assert run_gen(corpus_dir, "--seed", "1", "--w-cp", "6", "--noise-sd", "8",
-                   "--window-collab", "2005:2008", small=False) == 0
+                   small=False) == 0
     features = {}
     for name, flags in (("default", []),
                         ("narrow", ["--window-collab", "2005:2008"])):
@@ -223,6 +224,9 @@ def test_window_flags_propagate(tmp_path, capsys):
                      "--out-dir", str(tmp_path / name), *flags]) == 0
         features[name] = (tmp_path / name / "features.csv").read_bytes()
     capsys.readouterr()
+    for name in ("scores.csv", "score_meta.json"):
+        assert ((tmp_path / "narrow" / name).read_bytes()
+                == (tmp_path / "default" / name).read_bytes())
     corpus = load_corpus(corpus_dir, collaboration_window=(2005, 2008))
     write_features(extract_all(corpus, score_corpus(corpus)),
                    tmp_path / "direct.csv")

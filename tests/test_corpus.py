@@ -32,7 +32,7 @@ from concorso.errors import (
     MalformedRecord,
 )
 from concorso.features import ApplicantFeatures
-from concorso.scoring import ProductivityScore
+from concorso.scoring import ProductivityScore, publication_weights, score_corpus
 
 RESEARCHER_HEADER = ("id,gender,family_name,university_id,sds_id,rank,"
                      "career_start_year,career_end_year,affiliation_history\n")
@@ -123,21 +123,26 @@ def test_affiliation_helpers(tmp_path):
     assert r3.career_years_in((2010, 2012)) == 0
 
 
-def test_publication_position_of(tmp_path):
-    corpus = load_corpus(write_inputs(
-        tmp_path, researchers=THREE_RESEARCHERS, publications=TWO_PUBLICATIONS))
-    p1 = corpus.publications["p1"]
-    assert p1.position_of("r1") == 0
-    assert p1.position_of("ext-smith") == 2
-    assert p1.position_of("r3") is None
+def test_affiliation_in_later_override_wins():
+    r = Researcher("r1", Gender.FEMALE, "Rossi", "U0", "S0", Rank.FULL, 2000, 2010,
+                   ((2001, "U1", "S1"), (2001, "U2", "S2"), (2005, "U3", "S1")))
+    assert r.affiliation_in(2001) == ("U2", "S2")
+    assert r.affiliation_in(2005) == ("U3", "S1")
+    assert r.affiliation_in(2003) == ("U0", "S0")
+    assert r.affiliation_in(1999) is None
+    assert r.affiliation_in(2011) is None
 
 
-def test_publications_by_author_index(tmp_path):
+def test_external_byline_authors_get_no_score(tmp_path):
     corpus = load_corpus(write_inputs(
         tmp_path, researchers=THREE_RESEARCHERS, publications=TWO_PUBLICATIONS))
-    assert [p.id for p in corpus.publications_by_author("r1")] == ["p1"]
-    assert [p.id for p in corpus.publications_by_author("ext-smith")] == ["p1"]
-    assert corpus.publications_by_author("nobody") == []
+    table = score_corpus(corpus)
+    assert sorted(table.scores) == ["r1", "r2", "r3"]
+    # p1 is the only cited publication of its cell: each of its three MAT-05
+    # (ALPHA) authors takes a third of one normalized citation, over 5 years
+    assert table.scores["r1"].fss == table.scores["r2"].fss == (1.0 / 3) / 5
+    assert table.scores["r3"].fss == 0.0
+    assert table.scores["r3"].n_pubs == 1  # p2, zero-cited
 
 
 # r1 again at U1 (as in p1), then listed a second time at U2
@@ -172,13 +177,23 @@ def test_loaded_bylines_share_entries(tmp_path):
     assert p3.byline[2] == BylineEntry("r1", "U2")
 
 
-def test_author_listed_twice_is_indexed_once(tmp_path):
+def test_author_listed_twice_is_credited_once(tmp_path):
     corpus = load_corpus(write_inputs(
         tmp_path, researchers=THREE_RESEARCHERS,
-        publications=TWO_PUBLICATIONS + REPEAT_AUTHOR_PUBLICATION))
-    assert [p.id for p in corpus.publications_by_author("r1")] == ["p1", "p3"]
-    assert [p.id for p in corpus.publications_by_author("r2")] == ["p1", "p3"]
-    assert corpus.publications["p3"].position_of("r1") == 1
+        publications=TWO_PUBLICATIONS + REPEAT_AUTHOR_PUBLICATION,
+        taxonomy="MAT-05,09,CONTRIB\nFIS-01,02,CONTRIB\n"))
+    table = score_corpus(corpus)
+    assert table.scores["r1"].n_pubs == table.scores["r2"].n_pubs == 2
+    # p3's first (U1) and last (U2) authors differ, so its CONTRIB weights
+    # are 0.30/0.40/0.30: r1 takes 0.40 at their first position, not 0.30
+    # at their last; on p1 r1 is the first author (0.30), r2 the middle one
+    weights = publication_weights(corpus.publications["p3"].byline,
+                                  Convention.CONTRIBUTION)
+    assert weights == pytest.approx([0.30, 0.40, 0.30])
+    p1_weights = publication_weights(corpus.publications["p1"].byline,
+                                     Convention.CONTRIBUTION)
+    assert table.scores["r1"].fss == (p1_weights[0] + weights[1]) / 5
+    assert table.scores["r2"].fss == (p1_weights[1] + weights[0]) / 5
 
 
 def test_unknown_president_is_dangling(tmp_path):
@@ -407,6 +422,8 @@ def make_validation_fixture(tmp_path):
         ' "byline": []}\n'
         '{"id": "p2", "year": 1999, "subject_category": "SC1", "citations": 1,'
         ' "byline": [{"author": "r1", "university": "U1"}]}\n'
+        '{"id": "p3", "year": 2015, "subject_category": "SC1", "citations": -1,'
+        ' "byline": [{"author": "r1", "university": "U1"}]}\n'
     )
     competitions = (
         # three-member committee, winner outside the applicant list
@@ -442,7 +459,9 @@ def test_validation_catches_each_violation(tmp_path):
 
     assert any("empty byline" in m for m in by_entity[("publication", "p1")])
     assert any("negative citations" in m for m in by_entity[("publication", "p1")])
-    assert any("outside corpus range" in m for m in by_entity[("publication", "p2")])
+    # years outside both windows are not violations, other faults still are
+    assert ("publication", "p2") not in by_entity
+    assert by_entity[("publication", "p3")] == ["negative citations -1"]
 
     c1 = by_entity[("competition", "c1")]
     assert any("committee size 4 != 5" in m for m in c1)

@@ -16,17 +16,16 @@ from concorso.corpus import (
     Researcher,
     SdsRecord,
 )
-from concorso.errors import InvalidByline, NoCareerOverlap
+from concorso.errors import InvalidByline
 from concorso.scoring import (
     compute_baselines,
-    compute_fss,
-    fractional_contribution,
     median_fss_by_sds,
     percentile_rank,
     publication_weights,
     score_corpus,
     write_scores,
 )
+from concorso.synthgen import GenConfig, generate
 
 ALPHA = Convention.ALPHABETICAL
 CONTRIB = Convention.CONTRIBUTION
@@ -149,8 +148,6 @@ def test_unknown_affiliations_use_focal_university():
 def test_empty_byline_rejected():
     with pytest.raises(InvalidByline):
         publication_weights([], ALPHA)
-    with pytest.raises(InvalidByline):
-        fractional_contribution(entries("U1"), 3, ALPHA)
 
 
 def test_weight_closure_random_bylines():
@@ -170,20 +167,21 @@ def test_weight_closure_random_bylines():
 
 # --- FSS ---------------------------------------------------------------------
 
+def score_of(corpus, rid="r1"):
+    return score_corpus(corpus).scores[rid]
+
+
 def test_fss_unity_case():
     r1 = researcher("r1", start=2008)
-    corpus = make_corpus([r1], [pub("p1", 2008, "X", 7, [BylineEntry("r1", "U1")])])
-    baselines = compute_baselines(corpus)
-    score = compute_fss(r1, corpus, baselines)
+    score = score_of(make_corpus([r1], [
+        pub("p1", 2008, "X", 7, [BylineEntry("r1", "U1")])]))
     assert score.t == 1
     assert score.n_pubs == 1
     assert score.fss == 1.0
 
 
 def test_fss_no_publications():
-    r1 = researcher("r1")
-    corpus = make_corpus([r1])
-    score = compute_fss(r1, corpus, {})
+    score = score_of(make_corpus([researcher("r1")]))
     assert score.fss == 0.0
     assert score.t == 5
     assert score.n_pubs == 0
@@ -203,52 +201,40 @@ def test_fss_worked_example():
     baselines = compute_baselines(corpus)
     assert baselines.get((2005, "X")) == 6.0
     assert baselines.get((2006, "Y")) == 3.0
-    score = compute_fss(r1, corpus, baselines)
+    score = score_of(corpus)
     assert score.fss == 0.25
     assert score.n_pubs == 2
 
 
 def test_fss_zero_cited_contributes_nothing():
     r1 = researcher("r1")
-    corpus = make_corpus([r1], [
+    score = score_of(make_corpus([r1], [
         pub("p1", 2005, "X", 0, [BylineEntry("r1", "U1")]),
-        pub("p2", 2005, "X", 5, [BylineEntry("e1", "U2")])])
-    baselines = compute_baselines(corpus)
-    score = compute_fss(r1, corpus, baselines)
+        pub("p2", 2005, "X", 5, [BylineEntry("e1", "U2")])]))
     assert score.fss == 0.0
     assert score.n_pubs == 1
 
 
-def test_fss_missing_baseline_cell_contributes_nothing():
-    r1 = researcher("r1")
-    corpus = make_corpus([r1], [pub("p1", 2005, "X", 9, [BylineEntry("r1", "U1")])])
-    score = compute_fss(r1, corpus, {})
-    assert score.fss == 0.0
-
-
 def test_fss_outside_window_ignored():
     r1 = researcher("r1")
-    corpus = make_corpus([r1], [
+    score = score_of(make_corpus([r1], [
         pub("p1", 2003, "X", 9, [BylineEntry("r1", "U1")]),
-        pub("p2", 2009, "X", 9, [BylineEntry("r1", "U1")])])
-    baselines = compute_baselines(corpus)
-    score = compute_fss(r1, corpus, baselines)
+        pub("p2", 2009, "X", 9, [BylineEntry("r1", "U1")])]))
     assert score.fss == 0.0
     assert score.n_pubs == 0
 
 
 def test_fss_requires_career_overlap():
     r1 = researcher("r1", start=2010)
-    corpus = make_corpus([r1])
-    with pytest.raises(NoCareerOverlap):
-        compute_fss(r1, corpus, {})
+    table = score_corpus(make_corpus([r1]))
+    assert "r1" in table.skipped
+    assert "r1" not in table.scores
 
 
 def test_fss_monotone_in_added_cited_pub_fixed_baselines():
-    # with the baseline table held fixed, a new cited publication with a
-    # resolvable cell can only add a nonnegative term
+    # the new cited publication sits in a (year, category) cell of its own,
+    # so every other cell keeps its baseline and the new term is nonnegative
     rng = np.random.default_rng(11)
-    baselines = {(2005, "X"): 5.0, (2006, "Y"): 3.0}
     for _ in range(200):
         r1 = researcher("r1")
         pubs = []
@@ -260,11 +246,87 @@ def test_fss_monotone_in_added_cited_pub_fixed_baselines():
                 byline[0] = BylineEntry("r1", "U1")
             year, cat = (2005, "X") if rng.random() < 0.5 else (2006, "Y")
             pubs.append(pub(f"p{j}", year, cat, int(rng.poisson(3)), byline))
-        before = compute_fss(r1, make_corpus([r1], pubs), baselines).fss
-        extra = pub("pnew", 2005, "X", int(rng.integers(1, 20)),
+        before = score_of(make_corpus([r1], pubs)).fss
+        extra = pub("pnew", 2007, "Z", int(rng.integers(1, 20)),
                     [BylineEntry("r1", "U1"), BylineEntry("e9", "U2")])
-        after = compute_fss(r1, make_corpus([r1], pubs + [extra]), baselines).fss
+        after = score_of(make_corpus([r1], pubs + [extra])).fss
         assert after >= before
+
+
+def reference_scores(corpus):
+    """The per-researcher algorithm ``score_corpus`` replaced, as an oracle:
+    an author index over every byline, each researcher's first position on
+    each publication, and the weights of their own field's convention.
+    (researcher id -> (fss, t, n_pubs), skipped ids)."""
+    lo, hi = corpus.productivity_window
+    baselines = compute_baselines(corpus)
+    index = {}
+    for p in corpus.publications.values():
+        for entry in p.byline:
+            pubs = index.setdefault(entry.author, [])
+            if not pubs or pubs[-1] is not p:
+                pubs.append(p)
+    scores, skipped = {}, []
+    for rid in sorted(corpus.researchers):
+        r = corpus.researchers[rid]
+        t = r.career_years_in((lo, hi))
+        if t == 0:
+            skipped.append(rid)
+            continue
+        convention = corpus.taxonomy[r.sds_id].convention
+        total, n_pubs = 0.0, 0
+        for p in index.get(rid, []):
+            if not lo <= p.year <= hi:
+                continue
+            n_pubs += 1
+            if p.citations < 1:
+                continue
+            position = [e.author for e in p.byline].index(rid)
+            weight = publication_weights(p.byline, convention)[position]
+            total += (p.citations / baselines[p.year, p.subject_category_id]) * weight
+        scores[rid] = (total / t, t, n_pubs)
+    return scores, skipped
+
+
+def assert_matches_reference(corpus):
+    table = score_corpus(corpus)
+    scores, skipped = reference_scores(corpus)
+    assert {rid: (s.fss, s.t, s.n_pubs) for rid, s in table.scores.items()} == scores
+    assert table.skipped == skipped
+
+
+def test_score_corpus_matches_reference_on_hand_corpus():
+    # r1 (ALPHA) and r2 (CONTRIB) share a byline, each listed twice; r3 has
+    # no career years in the window; one publication is outside the window
+    # and one is zero-cited
+    r1 = researcher("r1")
+    r2 = researcher("r2", sds="S2", rank=Rank.FULL, start=1990)
+    r3 = researcher("r3", start=2009)
+    byline = [BylineEntry("r2", "U1"), BylineEntry("e1", None), BylineEntry("r1", "U2"),
+              BylineEntry("r2", "U2"), BylineEntry("r1", "U1"), BylineEntry("r3", "U1")]
+    corpus = make_corpus([r1, r2, r3], [
+        pub("p1", 2005, "X", 7, byline),
+        pub("p2", 2005, "X", 2, [BylineEntry("r1", "U1")]),
+        pub("p3", 2006, "Y", 0, [BylineEntry("r2", "U1"), BylineEntry("r1", "U1")]),
+        pub("p4", 2010, "X", 40, [BylineEntry("r1", "U1"), BylineEntry("r2", "U1")]),
+    ], conventions={"S1": ALPHA, "S2": CONTRIB})
+    assert_matches_reference(corpus)
+    table = score_corpus(corpus)
+    assert table.skipped == ["r3"]
+    # baseline (2005, X) = 4.5; on p1 r1 takes the ALPHA share 1/6 and r2
+    # the CONTRIB first-author share 0.40 (first and last author at U1), not
+    # the 0.05 of their second position
+    r1_score, r2_score = table.scores["r1"], table.scores["r2"]
+    assert (r1_score.n_pubs, r2_score.n_pubs) == (3, 2)
+    assert r1_score.fss == (7 / 4.5 * (1 / 6) + 2 / 4.5 * 1.0) / 5
+    assert r2_score.fss == 7 / 4.5 * 0.40 / 5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_score_corpus_matches_reference_on_generated_corpora(seed):
+    corpus, _ = generate(GenConfig(seed=seed, n_sds=3, researchers_per_sds=16,
+                                   competitions_per_sds=2, mobility_rate=0.5))
+    assert_matches_reference(corpus)
 
 
 # --- percentiles -------------------------------------------------------------

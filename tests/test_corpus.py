@@ -177,13 +177,21 @@ def test_loaded_bylines_share_entries(tmp_path):
     assert p3.byline[2] == BylineEntry("r1", "U2")
 
 
-def test_author_listed_twice_is_credited_once(tmp_path):
+def repeat_author_scores(tmp_path):
     corpus = load_corpus(write_inputs(
         tmp_path, researchers=THREE_RESEARCHERS,
         publications=TWO_PUBLICATIONS + REPEAT_AUTHOR_PUBLICATION,
         taxonomy="MAT-05,09,CONTRIB\nFIS-01,02,CONTRIB\n"))
-    table = score_corpus(corpus)
+    return corpus, score_corpus(corpus)
+
+
+def test_author_listed_twice_is_indexed_once(tmp_path):
+    _, table = repeat_author_scores(tmp_path)
     assert table.scores["r1"].n_pubs == table.scores["r2"].n_pubs == 2
+
+
+def test_publication_position_of(tmp_path):
+    corpus, table = repeat_author_scores(tmp_path)
     # p3's first (U1) and last (U2) authors differ, so its CONTRIB weights
     # are 0.30/0.40/0.30: r1 takes 0.40 at their first position, not 0.30
     # at their last; on p1 r1 is the first author (0.30), r2 the middle one

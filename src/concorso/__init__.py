@@ -7,7 +7,6 @@ from .corpus import (
     Competition,
     Convention,
     Corpus,
-    CorpusPaths,
     Gender,
     Publication,
     Rank,
@@ -35,7 +34,6 @@ __all__ = [
     "ConfigError",
     "Convention",
     "Corpus",
-    "CorpusPaths",
     "DataError",
     "GenConfig",
     "Gender",

@@ -119,7 +119,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         weights=weights,
         **{name: getattr(args, name) for name in GEN_FIELDS},
         **_windows(args))
-    corpus, truth, _ = generate_to_dir(gen_cfg, args.out_dir)
+    corpus, truth = generate_to_dir(gen_cfg, args.out_dir)
     print(f"generated corpus with seed {gen_cfg.seed}: "
           f"{len(corpus.researchers)} researchers, "
           f"{len(corpus.publications)} publications, "

@@ -1,6 +1,6 @@
 """Data model for researchers, publications, and recruitment competitions.
 
-Input files (one directory, fixed names unless paths are given explicitly):
+Input files (one directory, fixed names):
 
 * ``researchers.csv``: comma-separated with header
   ``id,gender,family_name,university_id,sds_id,rank,career_start_year,
@@ -8,13 +8,16 @@ Input files (one directory, fixed names unless paths are given explicitly):
   ``AST``/``ASO``/``FUL``, ``career_end_year`` may be empty (still active),
   and ``affiliation_history`` holds semicolon-separated ``year:university:sds``
   triples overriding the base affiliation for specific years (empty means
-  the affiliation never changed).
-* ``publications.jsonl``: one JSON object per line with fields ``id``,
-  ``year``, ``subject_category``, ``citations``, and ``byline`` (ordered
-  array of ``{"author": ..., "university": ...}``; either value may be null).
-* ``competitions.jsonl``: one JSON object per line with fields ``id``,
-  ``sds``, ``university``, ``year``, ``president``, ``members`` (4 ids),
-  ``applicants``, ``winners``.
+  the affiliation never changed). A family name or university is not blank.
+* ``publications.jsonl``: one JSON object per line with the string fields
+  ``id`` and ``subject_category``, the integers ``year`` and ``citations``,
+  and ``byline``, an ordered array of ``{"author": ..., "university": ...}``
+  objects that each have both keys, each value a string or null.
+* ``competitions.jsonl``: one JSON object per line with the string fields
+  ``id``, ``sds``, ``university`` and ``president``, the integer ``year``,
+  and the string arrays ``members`` (4 ids), ``applicants``, ``winners``.
+  In both files an id is nonempty, a bool is not an integer, and a missing
+  field or a value of another JSON type is a ``MalformedRecord``.
 * ``taxonomy.csv``: comma-separated with header
   ``sds_id,uda_id,byline_convention`` where the convention is ``ALPHA`` or
   ``CONTRIB``.
@@ -295,6 +298,9 @@ def _load_researchers(path: Path) -> dict[str, Researcher]:
         except (AttributeError, ValueError):
             raise MalformedRecord(path, line, "rank",
                                   f"expected AST, ASO or FUL, got {row.get('rank')!r}")
+        for name in ("family_name", "university_id"):  # blanks would match each other
+            if not (row[name] or "").strip():
+                raise MalformedRecord(path, line, name, "blank value")
         start = _parse_int(row["career_start_year"], path, line, "career_start_year")
         end_raw = (row["career_end_year"] or "").strip()
         end = _parse_int(end_raw, path, line, "career_end_year") if end_raw else None
@@ -312,7 +318,20 @@ def _load_researchers(path: Path) -> dict[str, Researcher]:
     return researchers
 
 
-def _jsonl_records(path: Path):
+# the one JSON type of each field
+PUBLICATION_FIELDS = {"id": str, "year": int, "subject_category": str,
+                      "citations": int, "byline": list}
+COMPETITION_FIELDS = {"id": str, "sds": str, "university": str, "year": int,
+                      "president": str, "members": list, "applicants": list,
+                      "winners": list}
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
+
+
+def _jsonl_records(path: Path, fields: dict[str, type]):
+    """(line, record) for each nonblank line whose record has a nonempty
+    ``id`` and each field of ``fields`` of exactly its type (a bool is not
+    an int); a list other than ``byline`` holds strings, and the publication
+    loader checks the byline entries."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -323,84 +342,58 @@ def _jsonl_records(path: Path):
                 raise MalformedRecord(path, line_no, "-", f"invalid JSON: {exc.msg}")
             if not isinstance(record, dict):
                 raise MalformedRecord(path, line_no, "-", "expected a JSON object")
+            for name, kind in fields.items():
+                value = record.get(name)  # None, never a kind, when missing
+                if type(value) is not kind:
+                    raise MalformedRecord(
+                        path, line_no, name, "missing field" if name not in record
+                        else f"expected {_KIND_NAMES[kind]}, got {value!r}")
+                if kind is list and name != "byline" and not all(type(v) is str for v in value):
+                    raise MalformedRecord(path, line_no, name, "expected a list of strings")
+            if not record["id"]:
+                raise MalformedRecord(path, line_no, "id", "empty id")
             yield line_no, record
-
-
-def _record_field(record: dict, key: str, path, line_no: int):
-    if key not in record:
-        raise MalformedRecord(path, line_no, key, "missing field")
-    return record[key]
-
-
-def _coerce_int(value, path, line_no: int, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedRecord(path, line_no, key, f"expected integer, got {value!r}")
-    return value
-
-
-def _coerce_str_list(value, path, line_no: int, key: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise MalformedRecord(path, line_no, key, "expected a list of strings")
-    return list(value)
 
 
 def _load_publications(path: Path) -> dict[str, Publication]:
     publications: dict[str, Publication] = {}
     entries: dict[tuple[str | None, str | None], BylineEntry] = {}
-    for line_no, record in _jsonl_records(path):
-        pid = _record_field(record, "id", path, line_no)
-        if not isinstance(pid, str) or not pid:
-            raise MalformedRecord(path, line_no, "id", "expected nonempty string")
+    for line_no, record in _jsonl_records(path, PUBLICATION_FIELDS):
+        pid = record["id"]
         if pid in publications:
             raise DuplicateId("publication", pid)
-        byline_raw = _record_field(record, "byline", path, line_no)
-        if not isinstance(byline_raw, list):
-            raise MalformedRecord(path, line_no, "byline", "expected a list")
         byline = []
-        for entry in byline_raw:
-            if not isinstance(entry, dict):
-                raise MalformedRecord(path, line_no, "byline", "entries must be objects")
-            author = entry.get("author")
-            university = entry.get("university")
-            if author is not None and not isinstance(author, str):
-                raise MalformedRecord(path, line_no, "byline", "author must be string or null")
-            if university is not None and not isinstance(university, str):
-                raise MalformedRecord(path, line_no, "byline", "university must be string or null")
+        for entry in record["byline"]:
+            if type(entry) is not dict or "author" not in entry or "university" not in entry:
+                raise MalformedRecord(path, line_no, "byline", "expected {author, university}")
+            author, university = entry["author"], entry["university"]
+            if not ((author is None or type(author) is str)
+                    and (university is None or type(university) is str)):
+                raise MalformedRecord(path, line_no, "byline", "expected strings or null")
             shared = entries.get((author, university))
             if shared is None:
                 shared = entries[author, university] = BylineEntry(author, university)
             byline.append(shared)
-        publications[pid] = Publication(
-            id=pid,
-            year=_coerce_int(_record_field(record, "year", path, line_no), path, line_no, "year"),
-            subject_category_id=str(_record_field(record, "subject_category", path, line_no)),
-            citations=_coerce_int(_record_field(record, "citations", path, line_no),
-                                  path, line_no, "citations"),
-            byline=byline,
-        )
+        publications[pid] = Publication(pid, record["year"], record["subject_category"],
+                                        record["citations"], byline)
     return publications
 
 
 def _load_competitions(path: Path) -> dict[str, Competition]:
     competitions: dict[str, Competition] = {}
-    for line_no, record in _jsonl_records(path):
-        cid = _record_field(record, "id", path, line_no)
-        if not isinstance(cid, str) or not cid:
-            raise MalformedRecord(path, line_no, "id", "expected nonempty string")
+    for _, record in _jsonl_records(path, COMPETITION_FIELDS):
+        cid = record["id"]
         if cid in competitions:
             raise DuplicateId("competition", cid)
         competitions[cid] = Competition(
             id=cid,
-            sds_id=str(_record_field(record, "sds", path, line_no)),
-            university_id=str(_record_field(record, "university", path, line_no)),
-            year=_coerce_int(_record_field(record, "year", path, line_no), path, line_no, "year"),
-            president=str(_record_field(record, "president", path, line_no)),
-            members=_coerce_str_list(_record_field(record, "members", path, line_no),
-                                     path, line_no, "members"),
-            applicants=_coerce_str_list(_record_field(record, "applicants", path, line_no),
-                                        path, line_no, "applicants"),
-            winners=_coerce_str_list(_record_field(record, "winners", path, line_no),
-                                     path, line_no, "winners"),
+            sds_id=record["sds"],
+            university_id=record["university"],
+            year=record["year"],
+            president=record["president"],
+            members=record["members"],
+            applicants=record["applicants"],
+            winners=record["winners"],
         )
     return competitions
 
@@ -426,11 +419,11 @@ def _load_utf8(loader, path: Path):
 
 
 def load_corpus(
-    paths: CorpusPaths | str | Path,
+    directory: str | Path,
     productivity_window: tuple[int, int] = DEFAULT_PRODUCTIVITY_WINDOW,
     collaboration_window: tuple[int, int] = DEFAULT_COLLABORATION_WINDOW,
 ) -> Corpus:
-    """Load and cross-link a corpus from its four input files.
+    """Load and cross-link a corpus from the four input files of a directory.
 
     Raises MalformedRecord (also for bytes that are not UTF-8 and for
     unreadable CSV), DuplicateId, or DanglingReference. Unresolved
@@ -438,16 +431,15 @@ def load_corpus(
     and reported together rather than one at a time. Invariant violations
     that are data (not parse failures) are left to ``validate_corpus``.
     """
-    if not isinstance(paths, CorpusPaths):
-        paths = CorpusPaths.in_dir(paths)
+    paths = CorpusPaths.in_dir(directory)
     for p in (paths.researchers, paths.publications, paths.competitions, paths.taxonomy):
-        if not Path(p).exists():
+        if not p.exists():
             raise DataError(f"input file not found: {p}")
 
-    taxonomy = _load_utf8(_load_taxonomy, Path(paths.taxonomy))
-    researchers = _load_utf8(_load_researchers, Path(paths.researchers))
-    publications = _load_utf8(_load_publications, Path(paths.publications))
-    competitions = _load_utf8(_load_competitions, Path(paths.competitions))
+    taxonomy = _load_utf8(_load_taxonomy, paths.taxonomy)
+    researchers = _load_utf8(_load_researchers, paths.researchers)
+    publications = _load_utf8(_load_publications, paths.publications)
+    competitions = _load_utf8(_load_competitions, paths.competitions)
 
     dangling: list[tuple[str, str]] = []
     for r in researchers.values():

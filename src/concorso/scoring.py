@@ -167,19 +167,20 @@ def score_corpus(corpus: Corpus) -> ScoreTable:
     """Score every roster researcher and rank within SDS × rank cohorts.
 
     One credit pass over the publications in the productivity window, in
-    corpus order: each roster author of a publication is counted once, at
-    their first byline position, and a cited publication adds its normalized
-    citations times that position's weight under the byline convention of
-    the author's own field. Zero-cited publications count towards
-    ``n_pubs`` only. Researchers with no career years in the window are
-    listed in ``skipped``; every other total is divided by those years.
+    id order, so no score depends on the order of the input lines: each
+    roster author of a publication is counted once, at their first byline
+    position, and a cited publication adds its normalized citations times
+    that position's weight under the byline convention of the author's own
+    field. Zero-cited publications count towards ``n_pubs`` only.
+    Researchers with no career years in the window are listed in
+    ``skipped``; every other total is divided by those years.
     """
     window = corpus.productivity_window
     researchers = corpus.researchers
     baselines = compute_baselines(corpus)
     totals = dict.fromkeys(researchers, 0.0)
     n_pubs = dict.fromkeys(researchers, 0)
-    for pub in corpus.publications.values():
+    for _, pub in sorted(corpus.publications.items()):
         if not window[0] <= pub.year <= window[1]:
             continue
         first: dict[str | None, int] = {}

@@ -29,7 +29,6 @@ from .corpus import (
     Competition,
     Convention,
     Corpus,
-    CorpusPaths,
     Gender,
     Publication,
     Rank,
@@ -392,8 +391,8 @@ def write_ground_truth(truth: GroundTruth, directory: str | Path) -> Path:
     return path
 
 
-def generate_to_dir(cfg: GenConfig, directory: str | Path) -> tuple[Corpus, GroundTruth, CorpusPaths]:
+def generate_to_dir(cfg: GenConfig, directory: str | Path) -> tuple[Corpus, GroundTruth]:
     corpus, truth = generate(cfg)
-    paths = write_corpus(corpus, directory)
+    write_corpus(corpus, directory)
     write_ground_truth(truth, directory)
-    return corpus, truth, paths
+    return corpus, truth

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import shutil
 import subprocess
 import sys
@@ -173,7 +174,7 @@ def test_gen_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch,
 
     def capture(cfg, directory):
         seen.append(cfg)
-        return Corpus(), GroundTruth(), None
+        return Corpus(), GroundTruth()
 
     monkeypatch.setattr(cli, "generate_to_dir", capture)
     assert main(["gen", "--out-dir", str(tmp_path / "x")]) == 0
@@ -421,6 +422,19 @@ def test_report_golden_hashes(golden_corpus, tmp_path, capsys):
     assert main(["report", "--input-dir", str(golden_corpus),
                  "--out-dir", str(tmp_path)]) == 0
     assert digests(tmp_path) == GOLDEN_REPORT_S
+
+
+def test_report_does_not_depend_on_publication_order(golden_corpus, tmp_path,
+                                                    capsys):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(golden_corpus, corpus_dir)
+    path = corpus_dir / "publications.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    random.Random(0).shuffle(lines)
+    path.write_text("".join(lines))
+    assert main(["report", "--input-dir", str(corpus_dir),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert digests(tmp_path / "out") == GOLDEN_REPORT_S
 
 
 def test_invalid_corpus_exits_1_naming_the_violation(golden_corpus, tmp_path,

@@ -1,7 +1,9 @@
 """Loading, validation, and round-trip serialization of corpus files."""
 
+import io
 import json
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -10,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from concorso.cli import main
 from concorso.corpus import (
     BylineEntry,
     Competition,
     Convention,
     Corpus,
-    CorpusPaths,
     Gender,
     Publication,
     Rank,
@@ -361,6 +363,11 @@ def _loaded(corpus):
      {"line_no": 2, "field": "sds_id"}),
     ("researchers.csv", "r1,F", ",F", MalformedRecord,
      {"line_no": 2, "field": "id"}),
+    # two blank surnames, or two blank universities, would match each other
+    ("researchers.csv", "r1,F,Rossi,", "r1,F, ,", MalformedRecord,
+     {"line_no": 2, "field": "family_name"}),
+    ("researchers.csv", "Rossi,U1,", "Rossi, ,", MalformedRecord,
+     {"line_no": 2, "field": "university_id"}),
     ("competitions.jsonl", ONE_COMPETITION, "[]\n", MalformedRecord,
      {"line_no": 1, "field": "-"}),
     ("competitions.jsonl", '"members": ["r1", "r1"', '"members": ["r1", 1',
@@ -412,6 +419,86 @@ def test_loader_edge_cases(tmp_path, name, old, new, error, detail):
         assert getattr(err.value, attr) == value
     if error is MalformedRecord:
         assert str(err.value).startswith(f"{path}:{detail['line_no']}: ")
+
+
+# every field of each JSONL file and its one JSON type
+JSONL_FIELDS = {
+    "publications.jsonl": {"id": str, "year": int, "subject_category": str,
+                           "citations": int, "byline": list},
+    "competitions.jsonl": {"id": str, "sds": str, "university": str,
+                           "year": int, "president": str, "members": list,
+                           "applicants": list, "winners": list},
+}
+JSON_VALUES = {"null": None, "bool": True, "int": 3, "float": 2.5,
+               "string": "x", "list": ["x"], "object": {"x": "y"}}
+MISSING = object()
+# r2 presides over four more MAT-05 full professors, so the corpus validates
+VALID_RESEARCHERS = THREE_RESEARCHERS + "".join(
+    f"r{i},M,Neri,U2,MAT-05,FUL,1990,,\n" for i in range(4, 8))
+VALID_COMPETITION = ONE_COMPETITION.replace('["r1", "r1", "r1", "r1"]',
+                                            '["r4", "r5", "r6", "r7"]')
+
+
+def _wrong_value_cases():
+    """(file, key path to the edited value, new value, field in the error)."""
+    for name, fields in JSONL_FIELDS.items():
+        stem = name.split(".")[0]
+        for field, kind in fields.items():
+            for label, value in [*JSON_VALUES.items(), ("missing", MISSING)]:
+                if type(value) is not kind:
+                    yield pytest.param(name, (field,), value, field,
+                                       id=f"{stem}-{field}-{label}")
+            # the elements of a list: byline entries are objects, others strings
+            element = dict if field == "byline" else str
+            for label, value in JSON_VALUES.items():
+                if kind is list and type(value) is not element:
+                    yield pytest.param(name, (field, 0), value, field,
+                                       id=f"{stem}-{field}-element-{label}")
+    # a byline entry needs an author and a university, each a string or null
+    for key in ("author", "university"):
+        for label, value in [*JSON_VALUES.items(), ("missing", MISSING)]:
+            if label not in ("null", "string"):
+                yield pytest.param("publications.jsonl", ("byline", 0, key), value,
+                                   "byline", id=f"publications-byline-{key}-{label}")
+
+
+def _score(corpus_dir, out_dir):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["score", "--input-dir", str(corpus_dir),
+                     "--out-dir", str(out_dir)])
+    return code, err.getvalue()
+
+
+def test_valid_jsonl_fixture_scores_cleanly(tmp_path):
+    write_inputs(tmp_path, researchers=VALID_RESEARCHERS,
+                 publications=TWO_PUBLICATIONS, competitions=VALID_COMPETITION)
+    assert _score(tmp_path, tmp_path / "out") == (0, "")
+
+
+@pytest.mark.parametrize("name, keys, value, field", _wrong_value_cases())
+def test_wrong_json_value_is_a_data_error(tmp_path, name, keys, value, field):
+    # the last line of the file: p2 in publications.jsonl, c1 in competitions
+    corpus_dir = write_inputs(tmp_path, researchers=VALID_RESEARCHERS,
+                              publications=TWO_PUBLICATIONS,
+                              competitions=VALID_COMPETITION)
+    path = corpus_dir / name
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[-1])
+    *parents, last = keys
+    target = record
+    for key in parents:
+        target = target[key]
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    lines[-1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    code, err = _score(corpus_dir, tmp_path / "out")
+    assert code == 1, err
+    assert f"{path}:{len(lines)}: field '{field}'" in err
+    assert "Traceback" not in err
 
 
 def make_validation_fixture(tmp_path):
@@ -630,6 +717,6 @@ def test_publication_lines_equal_json_dumps(publications):
         assert written == "".join(map(_dumps_record, publications)).encode("ascii")
         # reading back gives every field as written, except that JSON joins a
         # high surrogate followed by a low one into the character they encode
-        assert load_corpus(paths).publications == {
+        assert load_corpus(directory).publications == {
             p.id: p for p in map(_json_round_trip, publications)}
 

@@ -56,8 +56,8 @@ def test_different_seeds_differ(tmp_path):
 
 def test_roundtrip_through_files(tmp_path):
     cfg = GenConfig(seed=9, **SMALL)
-    corpus, _, paths = generate_to_dir(cfg, tmp_path)
-    loaded = load_corpus(paths)
+    corpus, _ = generate_to_dir(cfg, tmp_path)
+    loaded = load_corpus(tmp_path)
     assert loaded.researchers == corpus.researchers
     assert loaded.publications == corpus.publications
     assert loaded.competitions == corpus.competitions
@@ -191,7 +191,7 @@ def test_publication_years_inside_corpus_range():
 
 
 def test_ground_truth_file_format(tmp_path):
-    _, truth, _ = generate_to_dir(GenConfig(seed=13, **SMALL), tmp_path)
+    _, truth = generate_to_dir(GenConfig(seed=13, **SMALL), tmp_path)
     lines = (tmp_path / "ground_truth.jsonl").read_text().splitlines()
     assert len(lines) == len(truth.competitions)
     ids = []

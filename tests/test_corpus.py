@@ -363,11 +363,6 @@ def _loaded(corpus):
      {"line_no": 2, "field": "sds_id"}),
     ("researchers.csv", "r1,F", ",F", MalformedRecord,
      {"line_no": 2, "field": "id"}),
-    # two blank surnames, or two blank universities, would match each other
-    ("researchers.csv", "r1,F,Rossi,", "r1,F, ,", MalformedRecord,
-     {"line_no": 2, "field": "family_name"}),
-    ("researchers.csv", "Rossi,U1,", "Rossi, ,", MalformedRecord,
-     {"line_no": 2, "field": "university_id"}),
     ("competitions.jsonl", ONE_COMPETITION, "[]\n", MalformedRecord,
      {"line_no": 1, "field": "-"}),
     ("competitions.jsonl", '"members": ["r1", "r1"', '"members": ["r1", 1',
@@ -398,6 +393,11 @@ def _loaded(corpus):
     # blank JSONL lines and empty affiliation pieces are skipped
     ("publications.jsonl", '\n{"id": "p2"', '\n\n{"id": "p2"', None, {}),
     ("researchers.csv", ",2006:U2:MAT-05", ",;2006:U2:MAT-05;;", None, {}),
+    # two blank surnames, or two blank universities, would match each other
+    ("researchers.csv", "r1,F,Rossi,", "r1,F, ,", MalformedRecord,
+     {"line_no": 2, "field": "family_name"}),
+    ("researchers.csv", "Rossi,U1,", "Rossi, ,", MalformedRecord,
+     {"line_no": 2, "field": "university_id"}),
 ])
 def test_loader_edge_cases(tmp_path, name, old, new, error, detail):
     # one edit of one file of a small valid corpus

@@ -211,6 +211,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         return 0
     eligibility = filter_eligible(corpus)
     rows = extract_all(corpus, table, eligibility=eligibility)
+    corpus.publications.clear()  # nothing reads them from here on: free them
     if "audit" in stages:
         _write_audit_stage(args, corpus, table, rows,
                            eligibility.retained_competitions)

@@ -8,7 +8,9 @@ Input files (one directory, fixed names):
   ``AST``/``ASO``/``FUL``, ``career_end_year`` may be empty (still active),
   and ``affiliation_history`` holds semicolon-separated ``year:university:sds``
   triples overriding the base affiliation for specific years (empty means
-  the affiliation never changed). A family name or university is not blank.
+  the affiliation never changed). A family name or university is not blank,
+  nor is the university or SDS of an override, and every SDS, base or
+  override, is listed in ``taxonomy.csv``.
 * ``publications.jsonl``: one JSON object per line with the string fields
   ``id`` and ``subject_category``, the integers ``year`` and ``citations``,
   and ``byline``, an ordered array of ``{"author": ..., "university": ...}``
@@ -20,7 +22,7 @@ Input files (one directory, fixed names):
   field or a value of another JSON type is a ``MalformedRecord``.
 * ``taxonomy.csv``: comma-separated with header
   ``sds_id,uda_id,byline_convention`` where the convention is ``ALPHA`` or
-  ``CONTRIB``.
+  ``CONTRIB`` and the UDA is not blank.
 
 Byline authors and competition applicants that do not resolve to roster
 researchers are kept as opaque external keys: they shape fractional weights
@@ -159,10 +161,13 @@ class Competition:
 
 @dataclass
 class Corpus:
-    """Every entity plus the windows; nothing changes it after load.
+    """Every entity plus the windows; no record changes after load.
 
     It holds no derived index or cache: readers that need a lookup (the
     scoring pass, the feature index) build their own from these fields.
+    The analysis pipeline empties ``publications`` once extraction has
+    returned, since no later stage reads one and they are most of a
+    corpus's memory.
     """
 
     researchers: dict[str, Researcher] = field(default_factory=dict)
@@ -258,7 +263,10 @@ def _load_taxonomy(path: Path) -> dict[str, SdsRecord]:
         except ValueError:
             raise MalformedRecord(path, line, "byline_convention",
                                   f"expected ALPHA or CONTRIB, got {conv_raw!r}")
-        taxonomy[sds_id] = SdsRecord(sds_id, (row["uda_id"] or "").strip(), convention)
+        uda_id = (row["uda_id"] or "").strip()
+        if not uda_id:  # the audit keys its per-UDA rows by it
+            raise MalformedRecord(path, line, "uda_id", "blank value")
+        taxonomy[sds_id] = SdsRecord(sds_id, uda_id, convention)
     return taxonomy
 
 
@@ -276,7 +284,11 @@ def _parse_affiliations(raw: str, path, line_no: int) -> tuple[tuple[int, str, s
             raise MalformedRecord(path, line_no, "affiliation_history",
                                   f"expected year:university:sds, got {piece!r}")
         year = _parse_int(parts[0], path, line_no, "affiliation_history")
-        triples.append((year, parts[1], parts[2]))
+        university, sds = parts[1].strip(), parts[2].strip()
+        if not (university and sds):
+            raise MalformedRecord(path, line_no, "affiliation_history",
+                                  f"blank university or SDS in {piece!r}")
+        triples.append((year, university, sds))
     return tuple(sorted(triples))
 
 
@@ -445,6 +457,9 @@ def load_corpus(
     for r in researchers.values():
         if r.sds_id not in taxonomy:
             dangling.append((r.sds_id, f"researcher {r.id}"))
+        for year, _, sds in r.affiliations:
+            if sds not in taxonomy:
+                dangling.append((sds, f"researcher {r.id} (affiliation {year})"))
     for comp in competitions.values():
         if comp.sds_id not in taxonomy:
             dangling.append((comp.sds_id, f"competition {comp.id}"))

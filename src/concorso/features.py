@@ -101,8 +101,10 @@ class _Index:
     """Lookups shared by the competitions of one extraction call: surnames of
     full professors by university (one pass over researchers per year),
     per-researcher affiliation timelines, and ``pub_ids``, each roster
-    researcher's publication ids in the corpus's collaboration window (one
-    pass over publications, at construction).
+    researcher's publication ids in the corpus's collaboration window, in
+    corpus order without repeats (one pass over publications, at
+    construction). The ids are tuples, which take a fraction of a set's
+    memory; a competition builds sets for its committee only.
     """
 
     def __init__(self, corpus: Corpus) -> None:
@@ -110,13 +112,15 @@ class _Index:
         self.lo, self.hi = corpus.collaboration_window
         self._names: dict[int, dict[str, set[str]]] = {}
         self._timelines: dict[str, tuple[tuple[str, str] | None, ...]] = {}
-        self.pub_ids: dict[str, set[str]] = {rid: set() for rid in corpus.researchers}
+        pub_ids: dict[str, list[str]] = {rid: [] for rid in corpus.researchers}
         for pub in corpus.publications.values():
             if self.lo <= pub.year <= self.hi:
                 for entry in pub.byline:
-                    ids = self.pub_ids.get(entry.author)
-                    if ids is not None:
-                        ids.add(pub.id)
+                    ids = pub_ids.get(entry.author)
+                    # an author listed twice: the publication is already their last id
+                    if ids is not None and (not ids or ids[-1] != pub.id):
+                        ids.append(pub.id)
+        self.pub_ids = {rid: tuple(ids) for rid, ids in pub_ids.items()}
 
     def full_professor_names(self, university: str, year: int) -> set[str]:
         by_university = self._names.get(year)
@@ -163,8 +167,8 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
     members = [corpus.researchers[m] for m in comp.members]
     president_line = index.timeline(comp.president)
     member_lines = [index.timeline(m) for m in comp.members]
-    president_pubs = index.pub_ids[comp.president]
-    member_pubs = [index.pub_ids[m] for m in comp.members]
+    president_pubs = set(index.pub_ids[comp.president])
+    member_pubs = [set(index.pub_ids[m]) for m in comp.members]
     committee_genders = [president.gender] + [m.gender for m in members]
     winner_set = set(comp.winners)
 
@@ -180,10 +184,11 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
         cp = _shared_years(line, president_line)
         ce = sum(_shared_years(line, m) for m in member_lines)
         if president_pubs:
-            pp = 100.0 * len(president_pubs & applicant_pubs) / len(president_pubs)
+            shared = sum(1 for pid in applicant_pubs if pid in president_pubs)
+            pp = 100.0 * shared / len(president_pubs)
         else:
             pp = 0.0
-        pe = sum(1 for pubs in member_pubs if pubs & applicant_pubs)
+        pe = sum(1 for pubs in member_pubs if not pubs.isdisjoint(applicant_pubs))
         same_gender = sum(1 for g in committee_genders if g == applicant.gender)
 
         rows.append(ApplicantFeatures(

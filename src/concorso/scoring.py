@@ -180,7 +180,8 @@ def score_corpus(corpus: Corpus) -> ScoreTable:
     baselines = compute_baselines(corpus)
     totals = dict.fromkeys(researchers, 0.0)
     n_pubs = dict.fromkeys(researchers, 0)
-    for _, pub in sorted(corpus.publications.items()):
+    for pid in sorted(corpus.publications):
+        pub = corpus.publications[pid]
         if not window[0] <= pub.year <= window[1]:
             continue
         first: dict[str | None, int] = {}

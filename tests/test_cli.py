@@ -424,6 +424,21 @@ def test_report_golden_hashes(golden_corpus, tmp_path, capsys):
     assert digests(tmp_path) == GOLDEN_REPORT_S
 
 
+def test_report_releases_publications_after_extraction(golden_corpus, tmp_path,
+                                                      monkeypatch, capsys):
+    # the golden digests show that no later stage needed them
+    seen = []
+
+    def spy(findings, rows, corpus, **kwargs):
+        seen.append(len(corpus.publications))
+        return aggregate_bias(findings, rows, corpus, **kwargs)
+
+    monkeypatch.setattr(cli, "aggregate_bias", spy)
+    assert main(["report", "--input-dir", str(golden_corpus),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert seen == [0]
+
+
 def test_report_does_not_depend_on_publication_order(golden_corpus, tmp_path,
                                                     capsys):
     corpus_dir = tmp_path / "corpus"

@@ -398,6 +398,17 @@ def _loaded(corpus):
      {"line_no": 2, "field": "family_name"}),
     ("researchers.csv", "Rossi,U1,", "Rossi, ,", MalformedRecord,
      {"line_no": 2, "field": "university_id"}),
+    # an override is checked like the base affiliation
+    ("researchers.csv", ",2006:U2:MAT-05", ",2006::MAT-05", MalformedRecord,
+     {"line_no": 3, "field": "affiliation_history"}),
+    ("researchers.csv", ",2006:U2:MAT-05", ",2006:U2: ", MalformedRecord,
+     {"line_no": 3, "field": "affiliation_history"}),
+    ("researchers.csv", ",2006:U2:MAT-05", ",2006: U2 : MAT-05", None, {}),
+    ("researchers.csv", ",2006:U2:MAT-05", ",2006:U2:CHIM-03", DanglingReference,
+     {"problems": [("CHIM-03", "researcher r2 (affiliation 2006)")]}),
+    # the audit keys its per-UDA rows by uda_id
+    ("taxonomy.csv", "MAT-05,09", "MAT-05, ", MalformedRecord,
+     {"line_no": 2, "field": "uda_id"}),
 ])
 def test_loader_edge_cases(tmp_path, name, old, new, error, detail):
     # one edit of one file of a small valid corpus

@@ -242,6 +242,20 @@ def test_pe_counts_distinct_members():
     assert feats[0].president_coauth_share == 100.0
 
 
+def test_author_listed_twice_counts_once():
+    # generated corpora never repeat an author on a byline
+    rows = committee() + [researcher("a1")]
+    pubs = [pub("p1", 2003, ["pr", "a1", "m1", "pr", "a1", "m1"]),
+            pub("p2", 2004, ["pr"]),
+            pub("p3", 2005, ["m2", "a1", "m2"])]
+    comp = competition(["a1"], [])
+    corpus = make_corpus(rows, pubs, [comp])
+    feats = extract_features(comp, corpus, default_scores(corpus))
+    assert feats[0].president_coauth_share == 50.0
+    assert feats[0].coauthoring_members == 2
+    assert_index_matches_reference(corpus, (2001, 2010))
+
+
 def test_gender_match_features():
     rows = committee(president_gender=F, member_genders=(F, F, M, M)) + [
         researcher("af", gender=F), researcher("am", gender=M)]

@@ -4,8 +4,9 @@ with cluster-robust inference, VIF, and joint Wald tests.
 Formulas are computed directly from their textbook definitions; scipy is used
 only for tail probabilities (Student t, normal, chi-squared), through the
 ``scipy.special`` functions that ``scipy.stats`` itself calls. ``scipy.special``
-is imported on first use, so ``import concorso`` and ``concorso gen``, which
-computes no p-value, do not load scipy.
+is imported on first use, so ``concorso gen``, which computes no p-value, does
+not load scipy. ``import concorso`` loads neither scipy nor numpy: the package
+imports this module only when one of its names is first used.
 """
 
 from __future__ import annotations

@@ -43,27 +43,22 @@ class BiasFinding:
     triggers: tuple[str, ...]
 
 
-def _competition_rows(features, comp_id: str):
-    rows = [f for f in features if f.competition_id == comp_id]
-    winners = [f for f in rows if f.won]
-    non_winners = [f for f in rows if not f.won]
-    return winners, non_winners
-
-
 def detect_negative(
     comp_id: str,
     features,
     sds_median_fss: float,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[BiasFinding]:
-    """Non-winners held back despite a decisive merit advantage.
+    """Non-winners held back despite a decisive merit advantage, among
+    ``features``, the rows of competition ``comp_id``.
 
     Stage 1 keeps non-winners at least ``threshold`` percentiles above the
     worst winner whose raw score is not below the cohort median; stage 2
     keeps those within ``threshold`` of the best stage-1 candidate. The
     level is the margin over the worst winner beyond the threshold band.
     """
-    winners, non_winners = _competition_rows(features, comp_id)
+    winners = [f for f in features if f.won]
+    non_winners = [f for f in features if not f.won]
     if not winners or not non_winners:
         return []
     worst_winner = min(f.merit_pct for f in winners)
@@ -92,12 +87,14 @@ def detect_positive(
     sds_median_fss: float,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[BiasFinding]:
-    """Winners who beat a decisively stronger field or sit below the median.
+    """Winners who beat a decisively stronger field or sit below the median,
+    among ``features``, the rows of competition ``comp_id``.
 
     Either condition suffices. The level is always measured against the best
     non-winner and may be negative when only the median condition holds.
     """
-    winners, non_winners = _competition_rows(features, comp_id)
+    winners = [f for f in features if f.won]
+    non_winners = [f for f in features if not f.won]
     if not winners or not non_winners:
         return []
     best_loser = max(f.merit_pct for f in non_winners)
@@ -123,28 +120,29 @@ def detect_all(
     features,
     corpus: Corpus,
     medians: dict[str, float],
-    retained: list[str],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[BiasFinding]:
-    """Run both detectors over the retained competitions, in fixed order.
+    """Run both detectors over each competition's rows, in competition order.
 
     ``medians`` maps SDS id to the cohort median raw score; competitions
-    whose SDS has no median (empty cohort) are skipped. ``retained`` is the
-    audit set of ``filter_eligible``.
+    whose SDS has no median (empty cohort) are skipped, and a competition
+    without both a winner and a non-winner has no findings.
     """
-    by_comp: dict[str, list[ApplicantFeatures]] = {}
-    for f in features:
-        by_comp.setdefault(f.competition_id, []).append(f)
     findings: list[BiasFinding] = []
-    for comp_id in sorted(retained):
-        comp = corpus.competitions[comp_id]
-        median = medians.get(comp.sds_id)
+    for comp_id, rows in sorted(_by_competition(features).items()):
+        median = medians.get(corpus.competitions[comp_id].sds_id)
         if median is None:
             continue
-        rows = by_comp.get(comp_id, [])
         findings.extend(detect_negative(comp_id, rows, median, threshold))
         findings.extend(detect_positive(comp_id, rows, median, threshold))
     return findings
+
+
+def _by_competition(features) -> dict[str, list[ApplicantFeatures]]:
+    by_comp: dict[str, list[ApplicantFeatures]] = {}
+    for f in features:
+        by_comp.setdefault(f.competition_id, []).append(f)
+    return by_comp
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +243,10 @@ def aggregate_bias(
     """Fold findings into per-discipline, per-gender tables, one per kind.
 
     Returns the JSON twin of each bias table (what ``render_bias_table``
-    reads), keyed by ``BiasKind``. ``features`` must be the audit-set rows
-    (retained competitions only); applicant counts are applicant-competition
+    reads), keyed by ``BiasKind``. ``features`` are feature rows such as
+    ``extract_all`` returns; only the audit set counts, the competitions whose
+    rows hold both a winner and a non-winner, since only there can winners be
+    compared with non-winners. Applicant counts are applicant-competition
     pairs, so a researcher who entered several competitions counts once per
     entry. The UDA grouping, the gender split and each cell's merit-vs-outcome
     correlation do not depend on the kind: they are computed once and shared
@@ -255,6 +255,10 @@ def aggregate_bias(
     genders get two-sample t-tests, Bonferroni-adjusted across the per-UDA
     family.
     """
+    audited = {comp_id for comp_id, rows in _by_competition(features).items()
+               if any(r.won for r in rows) and not all(r.won for r in rows)}
+    features = [r for r in features if r.competition_id in audited]
+
     def uda_of(comp_id: str) -> str:
         return corpus.taxonomy[corpus.competitions[comp_id].sds_id].uda_id
 
@@ -262,7 +266,7 @@ def aggregate_bias(
     for row in features:
         by_uda.setdefault(uda_of(row.competition_id), []).append(row)
     groups = [(uda, by_uda[uda]) for uda in sorted(by_uda)]
-    groups.append(("all", list(features)))
+    groups.append(("all", features))
 
     # per group: (uda, [(gender label, keys, correlation) per gender]), where
     # a key is an applicant's (competition_id, researcher_id)
@@ -275,9 +279,8 @@ def aggregate_bias(
     adjust_family((corr for _, cells in split[:-1] for _, _, corr in cells),
                   "corr_p", "corr_p_adj")
 
-    n_competitions = len({r.competition_id for r in features})
     return {kind: _bias_twin(kind, [f for f in findings if f.kind == kind],
-                             split, n_competitions, threshold, welch)
+                             split, len(audited), threshold, welch)
             for kind in BiasKind}
 
 

@@ -140,23 +140,21 @@ def _write_score_stage(out_dir: Path, corpus: Corpus, table: ScoreTable) -> None
 
 
 def _write_audit_stage(args: argparse.Namespace, corpus: Corpus,
-                       table: ScoreTable, rows, retained: list[str]) -> None:
-    kept = set(retained)
-    audit_rows = [r for r in rows if r.competition_id in kept]
+                       table: ScoreTable, rows) -> None:
     medians = median_fss_by_sds(table, corpus)
-    findings = detect_all(audit_rows, corpus, medians, retained,
-                          threshold=args.threshold)
+    findings = detect_all(rows, corpus, medians, threshold=args.threshold)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_findings(findings, args.out_dir / "findings.csv")
-    twins = aggregate_bias(findings, audit_rows, corpus,
+    twins = aggregate_bias(findings, rows, corpus,
                            threshold=args.threshold, welch=args.welch)
     for kind, twin in twins.items():
         _write_twin(args.out_dir / f"bias_{kind.value}", twin,
                     render_bias_table(twin, one_sided=args.one_sided))
-    if not retained:
+    n_audited = twins[BiasKind.NEGATIVE]["n_competitions"]
+    if not n_audited:
         print("warning: no competition retained an eligible winner and "
               "non-winner; tables are empty", file=sys.stderr)
-    print(f"audited {len(retained)} competitions "
+    print(f"audited {n_audited} competitions "
           f"at threshold {args.threshold:g}: "
           f"{twins[BiasKind.NEGATIVE]['n_findings']} negative and "
           f"{twins[BiasKind.POSITIVE]['n_findings']} positive findings "
@@ -209,12 +207,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         _write_score_stage(args.out_dir, corpus, table)
     if stages == ("score",):
         return 0
-    eligibility = filter_eligible(corpus)
-    rows = extract_all(corpus, table, eligibility=eligibility)
+    rows = extract_all(corpus, table, filter_eligible(corpus))
     corpus.publications.clear()  # nothing reads them from here on: free them
     if "audit" in stages:
-        _write_audit_stage(args, corpus, table, rows,
-                           eligibility.retained_competitions)
+        _write_audit_stage(args, corpus, table, rows)
     if "regress" in stages:
         _write_regress_stage(args.out_dir, rows)
     return 0

@@ -1,4 +1,10 @@
-"""Per-applicant regressors and eligibility filters for competition outcomes.
+"""Per-applicant regressors for competition outcomes, and the eligibility rule.
+
+An applicant is eligible when they are an assistant professor hired at least
+``MIN_CAREER_YEARS`` before the competition; ``filter_eligible`` maps each
+competition to its eligible applicants, and ``extract_all`` gives a row to
+each of them. Which competitions a bias audit compares is read from those
+rows, by ``bias.aggregate_bias``.
 
 For every eligible applicant of a competition the extractor produces the
 outcome flag plus the connection and similarity signals used by the bias
@@ -64,12 +70,6 @@ def normalize_family_name(name: str) -> str:
     return " ".join(name.split()).casefold()
 
 
-@dataclass
-class EligibilityResult:
-    eligible: dict[str, list[str]]      # competition id → eligible applicant ids
-    retained_competitions: list[str]    # audit set: >=1 winner and >=1 non-winner
-
-
 def _is_eligible(corpus: Corpus, comp: Competition, applicant_id: str) -> bool:
     researcher = corpus.researchers.get(applicant_id)
     if researcher is None or researcher.rank is not Rank.ASSISTANT:
@@ -77,24 +77,12 @@ def _is_eligible(corpus: Corpus, comp: Competition, applicant_id: str) -> bool:
     return comp.year - researcher.career_start_year >= MIN_CAREER_YEARS
 
 
-def filter_eligible(corpus: Corpus) -> EligibilityResult:
-    """Keep incumbent assistant professors with enough seniority.
-
-    A competition stays in the audit set only when the eligible applicants
-    still include at least one winner and one non-winner; competitions that
-    fail this carry no within-competition comparison.
-    """
-    eligible: dict[str, list[str]] = {}
-    retained: list[str] = []
-    for comp_id in sorted(corpus.competitions):
-        comp = corpus.competitions[comp_id]
-        kept = [a for a in comp.applicants if _is_eligible(corpus, comp, a)]
-        eligible[comp_id] = kept
-        winner_set = set(comp.winners)
-        n_winners = sum(1 for a in kept if a in winner_set)
-        if n_winners >= 1 and len(kept) - n_winners >= 1:
-            retained.append(comp_id)
-    return EligibilityResult(eligible=eligible, retained_competitions=retained)
+def filter_eligible(corpus: Corpus) -> dict[str, list[str]]:
+    """Each competition's eligible applicants, by competition id: incumbent
+    assistant professors with enough seniority, in application order."""
+    return {comp_id: [a for a in comp.applicants
+                      if _is_eligible(corpus, comp, a)]
+            for comp_id, comp in sorted(corpus.competitions.items())}
 
 
 class _Index:
@@ -213,17 +201,18 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
 def extract_all(
     corpus: Corpus,
     scores: ScoreTable,
-    eligibility: EligibilityResult | None = None,
+    eligible: dict[str, list[str]] | None = None,
 ) -> list[ApplicantFeatures]:
-    """Features for every competition's eligible applicants, in fixed order."""
-    if eligibility is None:
-        eligibility = filter_eligible(corpus)
+    """Features for every competition's eligible applicants, in fixed order.
+    ``eligible`` is the map of ``filter_eligible``, computed when not given.
+    """
+    if eligible is None:
+        eligible = filter_eligible(corpus)
     index = _Index(corpus)
     rows = []
     for comp_id in sorted(corpus.competitions):
-        rows.extend(_competition_rows(
-            corpus.competitions[comp_id], index, scores,
-            eligibility.eligible[comp_id]))
+        rows.extend(_competition_rows(corpus.competitions[comp_id], index,
+                                      scores, eligible[comp_id]))
     return rows
 
 

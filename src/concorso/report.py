@@ -95,7 +95,9 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
                f"{twin['n_competitions']} retained competitions.")
     out.append("")
 
+    # the per-UDA rows, then the overall row, which no family adjusts
     all_rows = twin["rows"] + [twin["overall"]]
+    n_uda = len(twin["rows"])
 
     out.append("Flagged candidates and applicants by gender and UDA "
                "(% of row total in brackets)")
@@ -123,10 +125,10 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
     grid = [["UDA", "F avg", "F SD", "F max", "M avg", "M SD", "M max",
              "t", f"p ({sided})", "p (adj)"]]
     m_level = twin["n_level_tests"]
-    for row in all_rows:
+    for i, row in enumerate(all_rows):
         f, m = row["female"], row["male"]
         test = row["level_test"]
-        adj = _adjusted_p(test, m_level, one_sided) if row["uda"] != "all" else None
+        adj = _adjusted_p(test, m_level, one_sided) if i < n_uda else None
         grid.append([
             row["uda"],
             fmt(f["level_mean"], 1), fmt(f["level_sd"], 1), fmt(f["level_max"], 1),
@@ -143,9 +145,9 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
                "two-sample t-test on flag indicators)")
     grid = [["UDA", "t", "df", f"p ({sided})", "p (adj)"]]
     m_inc = twin["n_incidence_tests"]
-    for row in all_rows:
+    for i, row in enumerate(all_rows):
         test = row["incidence_test"]
-        adj = _adjusted_p(test, m_inc, one_sided) if row["uda"] != "all" else None
+        adj = _adjusted_p(test, m_inc, one_sided) if i < n_uda else None
         grid.append([
             row["uda"],
             fmt(None if test is None else test["statistic"], 2),

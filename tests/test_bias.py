@@ -13,6 +13,7 @@ from concorso.bias import (
 )
 from concorso.corpus import Competition, Convention, Corpus, SdsRecord
 from concorso.features import ApplicantFeatures
+from concorso.report import fmt, render_bias_table, stars
 from concorso.stats import two_sample_t
 
 
@@ -238,8 +239,7 @@ def test_detect_all_uses_sds_medians():
         row("c2", "w2", 1, 10, raw=0.5), row("c2", "n2", 0, 80, raw=3.0),
     ]
     medians = {"SA": 2.0, "SB": 5.0}
-    findings = detect_all(features, corpus, medians,
-                          retained=["c1", "c2"])
+    findings = detect_all(features, corpus, medians)
     kinds = {(f.competition_id, f.kind.value, f.researcher_id) for f in findings}
     # c1: n1 above its median -> negative finding; c2: n2 below median -> none
     assert ("c1", "negative", "n1") in kinds
@@ -259,8 +259,7 @@ def test_aggregate_counts_and_levels():
         row("c2", "n3", 0, 90, raw=9.0, female=1),
         row("c2", "n4", 0, 85, raw=9.0, female=0),
     ]
-    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0},
-                          retained=["c1", "c2"])
+    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0})
     table = aggregate_bias(findings, features, corpus)[BiasKind.NEGATIVE]
 
     assert table["kind"] == "negative"
@@ -317,8 +316,7 @@ def test_aggregate_bonferroni_family_size():
         row("c2", "n4", 0, 85, raw=9.0, female=0),
         row("c2", "n6", 0, 30, raw=9.0, female=1),
     ]
-    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0},
-                          retained=["c1", "c2"])
+    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0})
     table = aggregate_bias(findings, features, corpus)[BiasKind.NEGATIVE]
     computable = [r["incidence_test"] for r in table["rows"]
                   if r["incidence_test"]]
@@ -326,6 +324,40 @@ def test_aggregate_bonferroni_family_size():
     assert m == 2
     for t in computable:
         assert t["p_bonferroni"] == min(1.0, m * t["p_two_sided"])
+
+
+def test_bias_table_adjusts_a_uda_named_all():
+    # a UDA may be named like the overall row; only the overall row goes
+    # without a Bonferroni-adjusted p
+    corpus = audit_corpus()
+    corpus.taxonomy["SA"] = SdsRecord("SA", "all", Convention.ALPHABETICAL)
+    features = [
+        row("c1", "w1", 1, 10, raw=9.0, female=1),
+        row("c1", "n1", 0, 80, raw=9.0, female=1),
+        row("c1", "n2", 0, 70, raw=9.0, female=0),
+        row("c1", "n5", 0, 20, raw=9.0, female=0),
+        row("c1", "n7", 0, 75, raw=9.0, female=0),
+        row("c1", "n8", 0, 72, raw=9.0, female=1),
+        row("c2", "w2", 1, 10, raw=9.0, female=0),
+        row("c2", "n3", 0, 90, raw=9.0, female=1),
+        row("c2", "n4", 0, 85, raw=9.0, female=0),
+        row("c2", "n6", 0, 30, raw=9.0, female=1),
+    ]
+    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0})
+    twin = aggregate_bias(findings, features, corpus)[BiasKind.NEGATIVE]
+    assert [r["uda"] for r in twin["rows"]] == ["B", "all"]
+    uda_all = twin["rows"][1]
+    lines = render_bias_table(twin).splitlines()
+    for title, test in (("Level of bias", "level_test"),
+                        ("Gender difference in incidence", "incidence_test")):
+        adjusted = uda_all[test]["p_bonferroni"]
+        assert adjusted is not None
+        start = next(i for i, line in enumerate(lines) if line.startswith(title))
+        end = lines.index("", start)
+        uda_line, overall_line = [line for line in lines[start:end]
+                                  if line.startswith("all ")]
+        assert uda_line.endswith(" " + fmt(adjusted) + stars(adjusted))
+        assert overall_line.endswith(" -")
 
 
 def test_aggregate_levels_include_p_ii_only_findings():
@@ -336,8 +368,7 @@ def test_aggregate_levels_include_p_ii_only_findings():
         row("c2", "w2", 1, 10, raw=9.0, female=1),  # P-i, F = 60
         row("c2", "n3", 0, 90, raw=9.0, female=0),
     ]
-    findings = detect_all(features, corpus, {"SA": 2.0, "SB": 2.0},
-                          retained=["c1", "c2"])
+    findings = detect_all(features, corpus, {"SA": 2.0, "SB": 2.0})
     everything = aggregate_bias(findings, features, corpus)[BiasKind.POSITIVE]
     assert everything["overall"]["female"]["n_flagged"] == 2
     assert everything["overall"]["female"]["level_mean"] == pytest.approx(
@@ -353,8 +384,7 @@ def test_aggregate_welch_flag_changes_df():
         features.append(row(cid, f"r{i}", int(i % 7 == 0),
                             float(rng.integers(0, 101)),
                             raw=9.0, female=int(i % 3 == 0)))
-    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0},
-                          retained=["c1", "c2"])
+    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0})
     pooled = aggregate_bias(findings, features, corpus)[BiasKind.POSITIVE]
     welch = aggregate_bias(findings, features, corpus,
                            welch=True)[BiasKind.POSITIVE]

@@ -24,7 +24,7 @@ from concorso.corpus import Corpus, load_corpus, write_corpus
 from concorso import cli
 from concorso.cli import main, parse_window
 from concorso.errors import ConfigError
-from concorso.features import extract_all, filter_eligible, write_features
+from concorso.features import extract_all, write_features
 from concorso.report import (
     fmt,
     render_bias_table,
@@ -257,9 +257,7 @@ def test_threshold_flag_propagates(tmp_path, capsys):
     table = score_corpus(corpus)
     rows = extract_all(corpus, table)
     medians = median_fss_by_sds(table, corpus)
-    direct = detect_all(rows, corpus, medians,
-                        filter_eligible(corpus).retained_competitions,
-                        threshold=30.0)
+    direct = detect_all(rows, corpus, medians, threshold=30.0)
     exported = {(r["competition_id"], r["researcher_id"], r["kind"])
                 for r in findings_at["30"]}
     assert exported == {(f.competition_id, f.researcher_id, f.kind.value)
@@ -511,11 +509,8 @@ def bias_twins(corpus_dir, **kwargs):
     """Both bias twins of a corpus, built as the audit stage builds them."""
     corpus = load_corpus(corpus_dir)
     table = score_corpus(corpus)
-    retained = filter_eligible(corpus).retained_competitions
-    kept = set(retained)
-    rows = [r for r in extract_all(corpus, table) if r.competition_id in kept]
-    findings = detect_all(rows, corpus, median_fss_by_sds(table, corpus),
-                          retained)
+    rows = extract_all(corpus, table)
+    findings = detect_all(rows, corpus, median_fss_by_sds(table, corpus))
     return aggregate_bias(findings, rows, corpus, **kwargs)
 
 

@@ -1,4 +1,5 @@
-"""Eligibility filtering and applicant feature extraction."""
+"""Eligibility filtering, applicant feature extraction, and the audit set
+that bias aggregation reads from the feature rows."""
 
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concorso.bias import BiasKind, aggregate_bias, detect_all
 from concorso.corpus import (
     BylineEntry,
     Competition,
@@ -84,6 +86,12 @@ def test_normalize_family_name():
 
 # --- eligibility -------------------------------------------------------------
 
+def audit_twin(corpus):
+    """The negative bias twin, without findings, over every extracted row."""
+    rows = extract_all(corpus, default_scores(corpus))
+    return aggregate_bias([], rows, corpus)[BiasKind.NEGATIVE]
+
+
 def test_filter_eligible_rules():
     rows = committee() + [
         researcher("a1", start=2005),             # exactly 3 years: kept
@@ -92,9 +100,9 @@ def test_filter_eligible_rules():
         researcher("a4", start=2000),
     ]
     comps = [competition(["a1", "a2", "a3", "a4", "ext-x"], ["a1"])]
-    result = filter_eligible(make_corpus(rows, competitions=comps))
-    assert result.eligible["c1"] == ["a1", "a4"]
-    assert result.retained_competitions == ["c1"]
+    corpus = make_corpus(rows, competitions=comps)
+    assert filter_eligible(corpus) == {"c1": ["a1", "a4"]}
+    assert audit_twin(corpus)["n_competitions"] == 1
 
 
 def test_competition_without_retained_nonwinner_dropped():
@@ -102,11 +110,12 @@ def test_competition_without_retained_nonwinner_dropped():
                           researcher("a2", start=2007)]
     comps = [competition(["a1", "a2"], ["a1"], cid="c1"),
              competition(["a1", "a2"], ["a2"], cid="c2")]
-    result = filter_eligible(make_corpus(rows, competitions=comps))
+    corpus = make_corpus(rows, competitions=comps)
     # c1: only eligible applicant is the winner; c2: eligible winner missing
-    assert result.eligible["c1"] == ["a1"]
-    assert result.eligible["c2"] == ["a1"]
-    assert result.retained_competitions == []
+    assert filter_eligible(corpus) == {"c1": ["a1"], "c2": ["a1"]}
+    twin = audit_twin(corpus)
+    assert twin["n_competitions"] == 0
+    assert twin["overall"]["female"]["n_applicants"] == 0
 
 
 def test_filter_eligible_matches_naive_recount():
@@ -123,8 +132,9 @@ def test_filter_eligible_matches_naive_recount():
         comps.append(competition(pool, [pool[0]], cid=f"c{j:02d}",
                                  year=int(rng.integers(2006, 2011))))
     corpus = make_corpus(rows, competitions=comps)
-    result = filter_eligible(corpus)
+    eligible = filter_eligible(corpus)
 
+    audited, n_audited_applicants = 0, 0
     for comp in comps:
         naive = []
         for a in comp.applicants:
@@ -132,11 +142,50 @@ def test_filter_eligible_matches_naive_recount():
             if r is not None and r.rank == Rank.ASSISTANT and \
                     comp.year - r.career_start_year >= 3:
                 naive.append(a)
-        assert result.eligible[comp.id] == naive
+        assert eligible[comp.id] == naive
         winners = [a for a in naive if a in comp.winners]
         losers = [a for a in naive if a not in comp.winners]
-        assert (comp.id in result.retained_competitions) == \
-            (bool(winners) and bool(losers))
+        if winners and losers:
+            audited += 1
+            n_audited_applicants += len(naive)
+    twin = audit_twin(corpus)
+    assert twin["n_competitions"] == audited
+    overall = twin["overall"]
+    assert (overall["female"]["n_applicants"] + overall["male"]["n_applicants"]
+            == n_audited_applicants)
+
+
+def test_audit_set_read_from_every_extracted_row():
+    # c1 holds eligible winners and non-winners; c2's only eligible
+    # applicant is its winner, and c3's has not won: the audit set is c1
+    rows = committee() + [
+        researcher("a1", start=2000), researcher("a2", gender=M, start=2000),
+        researcher("a3", start=2000), researcher("a4", gender=M, start=2000),
+        researcher("a5", start=2007), researcher("a6", gender=M, start=2000),
+    ]
+    comps = [competition(["a1", "a2", "a3", "a4", "a6"], ["a1", "a6"], cid="c1"),
+             competition(["a3", "a5"], ["a3"], cid="c2"),
+             competition(["a4", "a5"], ["a5"], cid="c3")]
+    corpus = make_corpus(rows, competitions=comps)
+    scores = make_scores({"a1": (0.5, 10.0), "a2": (9.0, 80.0),
+                          "a3": (8.0, 75.0), "a4": (9.5, 90.0),
+                          "a6": (0.2, 5.0)})
+    medians = {"S1": 1.0}
+    every = extract_all(corpus, scores)
+    assert sorted({r.competition_id for r in every}) == ["c1", "c2", "c3"]
+    audit = [r for r in every if r.competition_id == "c1"]
+
+    twins = aggregate_bias(detect_all(every, corpus, medians), every, corpus)
+    assert twins == aggregate_bias(detect_all(audit, corpus, medians), audit,
+                                   corpus)
+    for twin in twins.values():
+        overall = twin["overall"]
+        assert twin["n_competitions"] == 1
+        assert overall["female"]["n_applicants"] == 2
+        assert overall["male"]["n_applicants"] == 3
+        assert overall["female"]["corr_r"] is None  # fewer than 3 rows
+        assert overall["male"]["corr_r"] is not None
+    assert twins[BiasKind.NEGATIVE]["overall"]["incidence_test"] is not None
 
 
 # --- single-feature checks ---------------------------------------------------
@@ -450,7 +499,7 @@ def reference_rows(corpus, window):
                 and any(e.author == rid for e in p.byline)}
 
     rows = []
-    eligibility = filter_eligible(corpus)
+    eligible = filter_eligible(corpus)
     for comp_id in sorted(corpus.competitions):
         comp = corpus.competitions[comp_id]
         names = reference_full_professor_names(corpus, comp.university_id,
@@ -458,7 +507,7 @@ def reference_rows(corpus, window):
         president = corpus.researchers[comp.president]
         members = [corpus.researchers[m] for m in comp.members]
         president_pubs = pub_ids(comp.president)
-        for rid in sorted(set(eligibility.eligible[comp_id])):
+        for rid in sorted(set(eligible[comp_id])):
             a = corpus.researchers[rid]
             a_pubs = pub_ids(rid)
             pp = (100.0 * len(president_pubs & a_pubs) / len(president_pubs)

@@ -2,6 +2,10 @@
 change to the input that carries no meaning must leave every output as it
 was."""
 
+import contextlib
+import csv
+import io
+import json
 import random
 
 import pytest
@@ -16,6 +20,39 @@ from concorso.synthgen import GenConfig, LatentWeights, generate_to_dir
 SCALES = [(5, 40, 6), (6, 30, 8), (8, 40, 5)]
 SEEDS = range(4)
 CP_EFFECT = LatentWeights(cp=6.0, noise_sd=8.0)
+EXTERNAL_PREFIX = "renamed-"  # the namespace of renamed external authors
+
+
+def _report(input_dir, out_dir):
+    """Exit code, stdout and stderr with the directories mapped, and the bytes
+    of every output file, of one ``report`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--input-dir", str(input_dir),
+                     "--out-dir", str(out_dir)])
+    outputs = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+    mapped = [text.getvalue().replace(str(out_dir), "<OUT>")
+              .replace(str(input_dir), "<IN>") for text in (out, err)]
+    return code, mapped, outputs
+
+
+@pytest.fixture(scope="module", params=SCALES,
+                ids=lambda s: "x".join(map(str, s)))
+def originals(request, tmp_path_factory):
+    """Per seed: a generated corpus directory and its report, made once for
+    every transform."""
+    n_sds, researchers, competitions = request.param
+    runs = []
+    for seed in SEEDS:
+        root = tmp_path_factory.mktemp(f"seed{seed}")
+        weights = CP_EFFECT if seed % 2 else LatentWeights()
+        generate_to_dir(GenConfig(seed=seed, n_sds=n_sds, researchers_per_sds=researchers,
+                                  competitions_per_sds=competitions, weights=weights),
+                        root / "corpus")
+        expected = _report(root / "corpus", root / "out")
+        assert expected[0] in (0, 2), expected[1]
+        runs.append((seed, root, expected))
+    return runs
 
 
 def _shuffled_copy(source, dest, rng):
@@ -29,32 +66,44 @@ def _shuffled_copy(source, dest, rng):
     dest.write_bytes(b"".join(head + body))
 
 
-def _report(input_dir, out_dir, capsys):
-    code = main(["report", "--input-dir", str(input_dir), "--out-dir", str(out_dir)])
-    captured = capsys.readouterr()
-    outputs = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
-    mapped = [text.replace(str(out_dir), "<OUT>").replace(str(input_dir), "<IN>")
-              for text in (captured.out, captured.err)]
-    return code, mapped, outputs
-
-
-@pytest.mark.parametrize("scale", SCALES, ids=lambda s: "x".join(map(str, s)))
-def test_report_ignores_input_line_order(tmp_path, capsys, scale):
-    n_sds, researchers, competitions = scale
-    for seed in SEEDS:
-        original = tmp_path / f"corpus{seed}"
-        weights = CP_EFFECT if seed % 2 else LatentWeights()
-        generate_to_dir(GenConfig(seed=seed, n_sds=n_sds, researchers_per_sds=researchers,
-                                  competitions_per_sds=competitions, weights=weights),
-                        original)
-        shuffled = tmp_path / f"shuffled{seed}"
+def test_report_ignores_input_line_order(originals):
+    for seed, root, expected in originals:
+        shuffled = root / "shuffled"
         shuffled.mkdir()
-        paths, rng = CorpusPaths.in_dir(original), random.Random(seed)
+        paths, rng = CorpusPaths.in_dir(root / "corpus"), random.Random(seed)
         for source in (paths.researchers, paths.publications, paths.competitions,
                        paths.taxonomy):
             _shuffled_copy(source, shuffled / source.name, rng)
             assert (shuffled / source.name).read_bytes() != source.read_bytes()
 
-        expected = _report(original, tmp_path / f"out{seed}", capsys)
-        assert expected[0] in (0, 2), expected[1]
-        assert _report(shuffled, tmp_path / f"out_shuffled{seed}", capsys) == expected
+        assert _report(shuffled, root / "out_shuffled") == expected
+
+
+def _renamed_externals_copy(source_dir, dest_dir, rng):
+    """Copy a corpus with every byline author outside the roster renamed,
+    one to one and in shuffled order, into ``EXTERNAL_PREFIX`` names."""
+    source, dest = CorpusPaths.in_dir(source_dir), CorpusPaths.in_dir(dest_dir)
+    with open(source.researchers, newline="", encoding="utf-8") as fh:
+        roster = {row["id"] for row in csv.DictReader(fh)}
+    assert not any(rid.startswith(EXTERNAL_PREFIX) for rid in roster)
+    records = [json.loads(line) for line in
+               source.publications.read_text(encoding="utf-8").splitlines()]
+    externals = sorted({e["author"] for r in records for e in r["byline"]
+                        if e["author"] is not None and e["author"] not in roster})
+    assert externals
+    numbers = rng.sample(range(len(externals)), len(externals))
+    new_name = {a: f"{EXTERNAL_PREFIX}{n}" for a, n in zip(externals, numbers)}
+    for record in records:
+        for entry in record["byline"]:
+            entry["author"] = new_name.get(entry["author"], entry["author"])
+    dest_dir.mkdir()
+    dest.publications.write_text("".join(json.dumps(r) + "\n" for r in records),
+                                 encoding="utf-8")
+    for name in ("researchers", "competitions", "taxonomy"):
+        getattr(dest, name).write_bytes(getattr(source, name).read_bytes())
+
+
+def test_report_ignores_external_author_names(originals):
+    for seed, root, expected in originals:
+        _renamed_externals_copy(root / "corpus", root / "renamed", random.Random(seed))
+        assert _report(root / "renamed", root / "out_renamed") == expected

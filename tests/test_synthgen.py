@@ -111,8 +111,10 @@ def test_every_competition_retained_for_audit():
     # each competition must keep an eligible winner and an eligible loser
     for seed in range(10):
         corpus, _ = generate(GenConfig(seed=seed, **SMALL))
-        result = filter_eligible(corpus)
-        assert sorted(result.retained_competitions) == sorted(corpus.competitions)
+        eligible = filter_eligible(corpus)
+        for comp in corpus.competitions.values():
+            outcomes = {rid in comp.winners for rid in eligible[comp.id]}
+            assert outcomes == {True, False}, comp.id
 
 
 def test_latent_weights_shift_selection_away_from_merit():

@@ -24,7 +24,7 @@ from pathlib import Path
 from .corpus import Corpus
 from .errors import DegenerateInput
 from .features import ApplicantFeatures, by_gender
-from .stats import TestResult, adjust_family, pearson, two_sample_t
+from .stats import adjust_family, pearson, two_sample_t
 
 DEFAULT_THRESHOLD = 20.0
 
@@ -161,8 +161,10 @@ def _sd(xs) -> float | None:
     return (sum((x - m) ** 2 for x in xs) / (n - 1)) ** 0.5
 
 
-def _test_dict(test: TestResult | None) -> dict | None:
-    if test is None:
+def _t_test(female, male, welch: bool) -> dict | None:
+    try:
+        test = two_sample_t(female, male, pooled=not welch)
+    except DegenerateInput:
         return None
     return {
         "statistic": test.statistic,
@@ -171,13 +173,6 @@ def _test_dict(test: TestResult | None) -> dict | None:
         "p_two_sided": test.p_two_sided,
         "p_bonferroni": None,  # set by the per-UDA family adjustment
     }
-
-
-def _t_test(female, male, welch: bool) -> dict | None:
-    try:
-        return _test_dict(two_sample_t(female, male, pooled=not welch))
-    except DegenerateInput:
-        return None
 
 
 def _correlation(rows) -> dict:
@@ -259,12 +254,10 @@ def aggregate_bias(
                if any(r.won for r in rows) and not all(r.won for r in rows)}
     features = [r for r in features if r.competition_id in audited]
 
-    def uda_of(comp_id: str) -> str:
-        return corpus.taxonomy[corpus.competitions[comp_id].sds_id].uda_id
-
     by_uda: dict[str, list[ApplicantFeatures]] = {}
     for row in features:
-        by_uda.setdefault(uda_of(row.competition_id), []).append(row)
+        sds_id = corpus.competitions[row.competition_id].sds_id
+        by_uda.setdefault(corpus.taxonomy[sds_id].uda_id, []).append(row)
     groups = [(uda, by_uda[uda]) for uda in sorted(by_uda)]
     groups.append(("all", features))
 

@@ -547,10 +547,6 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _affiliation_string(r: Researcher) -> str:
-    return ";".join(f"{y}:{u}:{s}" for y, u, s in r.affiliations)
-
-
 def _json_str(text: str | None) -> str:
     return "null" if text is None else encode_basestring_ascii(text)
 
@@ -582,7 +578,7 @@ def write_corpus(corpus: Corpus, directory: str | Path) -> CorpusPaths:
                 r.id, r.gender.value, r.family_name, r.university_id, r.sds_id,
                 r.rank.value, r.career_start_year,
                 "" if r.career_end_year is None else r.career_end_year,
-                _affiliation_string(r),
+                ";".join(f"{y}:{u}:{s}" for y, u, s in r.affiliations),
             ])
 
     # the largest file, so each line is formatted directly; the bytes equal

@@ -70,18 +70,18 @@ def normalize_family_name(name: str) -> str:
     return " ".join(name.split()).casefold()
 
 
-def _is_eligible(corpus: Corpus, comp: Competition, applicant_id: str) -> bool:
-    researcher = corpus.researchers.get(applicant_id)
-    if researcher is None or researcher.rank is not Rank.ASSISTANT:
-        return False
-    return comp.year - researcher.career_start_year >= MIN_CAREER_YEARS
+def _eligible(corpus: Corpus, comp: Competition) -> list[str]:
+    """A competition's eligible applicants, in application order: incumbent
+    assistant professors with at least ``MIN_CAREER_YEARS`` of seniority."""
+    return [a for a in comp.applicants
+            if (r := corpus.researchers.get(a)) is not None
+            and r.rank is Rank.ASSISTANT
+            and comp.year - r.career_start_year >= MIN_CAREER_YEARS]
 
 
 def filter_eligible(corpus: Corpus) -> dict[str, list[str]]:
-    """Each competition's eligible applicants, by competition id: incumbent
-    assistant professors with enough seniority, in application order."""
-    return {comp_id: [a for a in comp.applicants
-                      if _is_eligible(corpus, comp, a)]
+    """Each competition's eligible applicants, by competition id."""
+    return {comp_id: _eligible(corpus, comp)
             for comp_id, comp in sorted(corpus.competitions.items())}
 
 
@@ -143,8 +143,7 @@ def extract_features(
     scores: ScoreTable,
 ) -> list[ApplicantFeatures]:
     """Feature rows for one competition's eligible applicants, sorted by id."""
-    eligible = [a for a in comp.applicants if _is_eligible(corpus, comp, a)]
-    return _competition_rows(comp, _Index(corpus), scores, eligible)
+    return _competition_rows(comp, _Index(corpus), scores, _eligible(corpus, comp))
 
 
 def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
@@ -163,8 +162,8 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
     rows = []
     for rid in sorted(set(eligible)):
         applicant = corpus.researchers[rid]
-        percentile = scores.percentile_of(rid)
-        if percentile is None:
+        score = scores.scores.get(rid)
+        if score is None:
             raise MissingScore(f"applicant {rid} has no productivity score")
         applicant_pubs = index.pub_ids[rid]
         line = index.timeline(rid)
@@ -184,7 +183,7 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
             researcher_id=rid,
             won=1 if rid in winner_set else 0,
             female=1 if applicant.gender is Gender.FEMALE else 0,
-            merit_pct=percentile,
+            merit_pct=score.percentile,
             surname_match=1 if normalize_family_name(applicant.family_name)
             in local_names else 0,
             years_with_president=cp,
@@ -193,7 +192,7 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
             coauthoring_members=pe,
             same_gender_president=1 if applicant.gender == president.gender else 0,
             same_gender_majority=1 if same_gender >= 3 else 0,
-            merit_raw=scores.fss_of(rid),
+            merit_raw=score.fss,
         ))
     return rows
 

@@ -76,12 +76,17 @@ def _bracket(count: int, total: int) -> str:
     return f"{count} ({100.0 * count / total:.1f})"
 
 
-def _adjusted_p(test: dict | None, m: int, one_sided: bool) -> float | None:
+def _test_cells(test: dict | None, one_sided: bool, m: int | None) -> list[str]:
+    """A gender test's t, df, p and Bonferroni-adjusted p with its stars, or
+    dashes where the test is undefined. ``m`` is the size of the test's
+    family, None for the overall row, which no family adjusts; two-sided,
+    the adjusted p equals the twin's ``p_bonferroni``."""
     if test is None:
-        return None
-    if one_sided:
-        return bonferroni([test["p_one_sided"]], max(m, 1))[0]
-    return test["p_bonferroni"]
+        return ["-"] * 4
+    p = test["p_one_sided" if one_sided else "p_two_sided"]
+    adj = None if m is None else bonferroni([p], m)[0]
+    return [fmt(test["statistic"], 2), fmt(test["df"], 1), fmt(p),
+            fmt(adj) + stars(adj)]
 
 
 def render_bias_table(twin: dict, one_sided: bool = False) -> str:
@@ -124,19 +129,15 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
     out.append("Level of bias among flagged candidates, by gender and UDA")
     grid = [["UDA", "F avg", "F SD", "F max", "M avg", "M SD", "M max",
              "t", f"p ({sided})", "p (adj)"]]
-    m_level = twin["n_level_tests"]
     for i, row in enumerate(all_rows):
         f, m = row["female"], row["male"]
-        test = row["level_test"]
-        adj = _adjusted_p(test, m_level, one_sided) if i < n_uda else None
+        t, _, p, adj = _test_cells(row["level_test"], one_sided,
+                                   twin["n_level_tests"] if i < n_uda else None)
         grid.append([
             row["uda"],
             fmt(f["level_mean"], 1), fmt(f["level_sd"], 1), fmt(f["level_max"], 1),
             fmt(m["level_mean"], 1), fmt(m["level_sd"], 1), fmt(m["level_max"], 1),
-            fmt(None if test is None else test["statistic"], 2),
-            fmt(None if test is None else
-                test["p_one_sided" if one_sided else "p_two_sided"]),
-            fmt(adj) + stars(adj),
+            t, p, adj,
         ])
     out.append(_layout(grid))
     out.append("")
@@ -144,18 +145,10 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
     out.append(f"Gender difference in incidence of flagging ({sided} "
                "two-sample t-test on flag indicators)")
     grid = [["UDA", "t", "df", f"p ({sided})", "p (adj)"]]
-    m_inc = twin["n_incidence_tests"]
     for i, row in enumerate(all_rows):
-        test = row["incidence_test"]
-        adj = _adjusted_p(test, m_inc, one_sided) if i < n_uda else None
-        grid.append([
-            row["uda"],
-            fmt(None if test is None else test["statistic"], 2),
-            fmt(None if test is None else test["df"], 1),
-            fmt(None if test is None else
-                test["p_one_sided" if one_sided else "p_two_sided"]),
-            fmt(adj) + stars(adj),
-        ])
+        grid.append([row["uda"], *_test_cells(
+            row["incidence_test"], one_sided,
+            twin["n_incidence_tests"] if i < n_uda else None)])
     out.append(_layout(grid))
     out.append("")
     out.append(SIGNIFICANCE_LEGEND)

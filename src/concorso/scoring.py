@@ -61,12 +61,6 @@ def compute_baselines(corpus: Corpus) -> dict[tuple[int, str], float]:
     return {key: sums[key] / counts[key] for key in sums}
 
 
-def _effective_university(entry, focal_university: str | None) -> str | None:
-    if entry.university is not None:
-        return entry.university
-    return focal_university
-
-
 def publication_weights(
     byline,
     convention: Convention,
@@ -94,8 +88,8 @@ def publication_weights(
     if n == 2:
         return [0.5, 0.5]
 
-    first_uni = _effective_university(byline[0], focal_university)
-    last_uni = _effective_university(byline[-1], focal_university)
+    first_uni, last_uni = (focal_university if e.university is None else e.university
+                           for e in (byline[0], byline[-1]))
     same = first_uni is not None and last_uni is not None and first_uni == last_uni
 
     if same:
@@ -153,14 +147,6 @@ class ScoreTable:
     window: tuple[int, int] = (0, 0)
     skipped: list[str] = field(default_factory=list)  # no career years in window
     n_baseline_cells: int = 0
-
-    def percentile_of(self, researcher_id: str) -> float | None:
-        score = self.scores.get(researcher_id)
-        return None if score is None else score.percentile
-
-    def fss_of(self, researcher_id: str) -> float | None:
-        score = self.scores.get(researcher_id)
-        return None if score is None else score.fss
 
 
 def score_corpus(corpus: Corpus) -> ScoreTable:

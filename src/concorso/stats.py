@@ -238,14 +238,21 @@ def fit_logit(design: DesignMatrix) -> RegressionResult:
     beta = np.zeros(k)
     eta = X @ beta
     ll = _log_likelihood(eta, y)
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
+    ll_change = math.inf
+    # each pass checks the current beta, then takes one Newton step; the bread
+    # below uses the last pass's p, and ``steps`` counts the steps taken
+    for steps in range(MAX_ITERATIONS + 1):
         p = _sigmoid(eta)
+        if ((p < PROB_PIN) | (p > 1.0 - PROB_PIN)).any() and \
+                float(np.abs(beta).max()) > BETA_BLOWUP:
+            raise SeparationDetected(
+                "fitted probabilities pinned at 0/1 with diverging coefficients")
+        if abs(ll_change) < LL_TOL:
+            break
+        if steps == MAX_ITERATIONS:
+            raise Nonconvergence(f"no convergence in {MAX_ITERATIONS} iterations")
         score = X.T @ (y - p)
         if float(np.abs(score).max()) < SCORE_TOL:
-            converged = True
-            iterations -= 1
             break
         w = p * (1.0 - p)
         hessian = X.T @ (X * w[:, None])
@@ -262,20 +269,8 @@ def fit_logit(design: DesignMatrix) -> RegressionResult:
                 break
             step *= 0.5
         beta, eta = candidate, eta_new
-        p = _sigmoid(eta)
-        if ((p < PROB_PIN) | (p > 1.0 - PROB_PIN)).any() and \
-                float(np.abs(beta).max()) > BETA_BLOWUP:
-            raise SeparationDetected(
-                "fitted probabilities pinned at 0/1 with diverging coefficients")
-        if abs(ll_new - ll) < LL_TOL:
-            ll = ll_new
-            converged = True
-            break
-        ll = ll_new
-    if not converged:
-        raise Nonconvergence(f"no convergence in {MAX_ITERATIONS} iterations")
+        ll_change, ll = ll_new - ll, ll_new
 
-    p = _sigmoid(eta)
     w = p * (1.0 - p)
     hessian = X.T @ (X * w[:, None])
     bread = np.linalg.inv(hessian)
@@ -332,7 +327,7 @@ def fit_logit(design: DesignMatrix) -> RegressionResult:
         wald_p=wald_p,
         n_obs=n,
         n_clusters=n_clusters,
-        n_iterations=iterations,
+        n_iterations=steps,
         covariance=cov,
     )
 

@@ -360,6 +360,37 @@ def test_bias_table_adjusts_a_uda_named_all():
         assert overall_line.endswith(" -")
 
 
+def test_one_sided_bias_text_adjusts_each_uda_row():
+    # rendered from a hand twin: each per-UDA row shows its one-sided p and
+    # min(1, m * p_one_sided) with its stars; the overall row is not adjusted
+    def cell():
+        return {"n_flagged": 1, "n_applicants": 4, "level_mean": 5.0,
+                "level_sd": None, "level_max": 5.0, "corr_r": None,
+                "corr_p_adj": None}
+
+    def test(p_one):
+        return {"statistic": 1.5, "df": 7, "p_one_sided": p_one,
+                "p_two_sided": 2 * p_one, "p_bonferroni": 0.5}
+
+    p_values = {"A": 0.004, "B": 0.02, "C": 0.7, "all": 0.01}
+    rows = [{"uda": uda, "female": cell(), "male": cell(),
+             "incidence_test": test(p), "level_test": test(p)}
+            for uda, p in p_values.items()]
+    twin = {"kind": "negative", "threshold": 20.0, "n_findings": 8,
+            "n_competitions": 4, "n_incidence_tests": 3, "n_level_tests": 3,
+            "rows": rows[:-1], "overall": rows[-1]}
+    lines = render_bias_table(twin, one_sided=True).splitlines()
+    for title in ("Level of bias", "Gender difference in incidence"):
+        start = next(i for i, line in enumerate(lines) if line.startswith(title))
+        grid = [line.split() for line in lines[start + 2:lines.index("", start)]]
+        assert [cells[0] for cells in grid] == list(p_values)
+        for cells, p in zip(grid, p_values.values()):
+            adjusted = min(1.0, 3 * p)
+            assert cells[-2] == fmt(p)
+            assert cells[-1] == (fmt(adjusted) + stars(adjusted)
+                                 if cells[0] != "all" else "-")
+
+
 def test_aggregate_levels_include_p_ii_only_findings():
     corpus = audit_corpus()
     features = [

@@ -129,7 +129,11 @@ def test_filter_eligible_matches_naive_recount():
     comps = []
     for j in range(12):
         pool = [f"a{i}" for i in rng.choice(40, size=8, replace=False)]
-        comps.append(competition(pool, [pool[0]], cid=f"c{j:02d}",
+        # winners from the whole pool, so some competitions have no eligible
+        # winner and drop out of the audit set
+        winners = [pool[w] for w in rng.choice(8, size=int(rng.integers(1, 3)),
+                                               replace=False)]
+        comps.append(competition(pool, winners, cid=f"c{j:02d}",
                                  year=int(rng.integers(2006, 2011))))
     corpus = make_corpus(rows, competitions=comps)
     eligible = filter_eligible(corpus)
@@ -148,6 +152,7 @@ def test_filter_eligible_matches_naive_recount():
         if winners and losers:
             audited += 1
             n_audited_applicants += len(naive)
+    assert 0 < audited < len(comps)
     twin = audit_twin(corpus)
     assert twin["n_competitions"] == audited
     overall = twin["overall"]

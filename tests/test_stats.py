@@ -328,6 +328,48 @@ def test_logit_iteration_cap(monkeypatch):
         fit_logit(make_design(X, y))
 
 
+def _count_solves(monkeypatch) -> list:
+    """Record each np.linalg.solve call: fit_logit makes one per Newton step
+    and one for the Wald test."""
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append(1) or solve(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_logit_n_iterations_counts_newton_steps(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    X, y, _ = logit_sample(rng, int(rng.integers(20, 200)), [0.3, 0.8])
+    solves = _count_solves(monkeypatch)
+    assert fit_logit(make_design(X, y)).n_iterations == len(solves) - 1
+
+
+def test_logit_takes_no_step_from_a_zero_score(monkeypatch):
+    # a balanced outcome uncorrelated with x: beta = 0 has a zero score
+    X = np.column_stack([np.ones(20), [0.0, 0.0, 1.0, 1.0] * 5])
+    y = np.array([0.0, 1.0, 0.0, 1.0] * 5)
+    solves = _count_solves(monkeypatch)
+    result = fit_logit(make_design(X, y))
+    assert result.n_iterations == 0 and len(solves) == 1
+    assert [c.b for c in result.coefficients] == [0.0, 0.0]
+
+
+def test_logit_log_likelihood_exit_step_count(monkeypatch):
+    # x in units of 1e8: rounding keeps the score above SCORE_TOL at the
+    # optimum, so the log-likelihood change is what ends the fit (its fifth
+    # step changes it by about 4e-15, the fourth by 9e-8)
+    X = np.column_stack([np.ones(20), np.arange(1, 21) * 1e8])
+    y = np.array([0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1.0])
+    solves = _count_solves(monkeypatch)
+    result = fit_logit(make_design(X, y))
+    assert result.n_iterations == 5 and len(solves) == 6
+    beta = np.array([c.b for c in result.coefficients])
+    p = 1.0 / (1.0 + np.exp(-(X @ beta)))
+    assert np.abs(X.T @ (y - p)).max() >= stats.SCORE_TOL
+
+
 def test_logit_needs_two_clusters():
     rng = np.random.default_rng(71)
     X, y, _ = logit_sample(rng, 60, [0.1, 0.4])

@@ -90,7 +90,7 @@ def test_merit_only_latent_equals_percentile():
     scores = score_corpus(corpus)
     for comp_id, t in truth.competitions.items():
         for rid, value in t.latent.items():
-            assert value == scores.percentile_of(rid)
+            assert value == scores.scores[rid].percentile
 
 
 def test_winner_invariants():

@@ -24,6 +24,10 @@ Input files (one directory, fixed names):
   ``sds_id,uda_id,byline_convention`` where the convention is ``ALPHA`` or
   ``CONTRIB`` and the UDA is not blank.
 
+In both CSV files a record with fewer fields than the header reads each
+missing trailing field as empty, and a record with a field past the header
+is a ``MalformedRecord`` naming the file and line.
+
 Byline authors and competition applicants that do not resolve to roster
 researchers are kept as opaque external keys: they shape fractional weights
 and competition rosters but never receive scores. Committee members and
@@ -227,20 +231,35 @@ class ValidationReport:
 def _parse_int(value: str, path, line_no: int, fieldname: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise MalformedRecord(path, line_no, fieldname, f"expected integer, got {value!r}")
 
 
+def _parse_enum(kind: type[Enum], row: dict[str, str], name: str, path, line_no: int):
+    """The member of ``kind`` that ``row[name]`` names, surrounding blanks aside."""
+    try:
+        return kind(row[name].strip())
+    except ValueError:
+        *others, last = [member.value for member in kind]
+        raise MalformedRecord(path, line_no, name,
+                              f"expected {', '.join(others)} or {last}, got {row[name]!r}")
+
+
 def _csv_rows(path: Path, columns: list[str]):
-    """(line, row dict) for each record of a CSV file with a header."""
+    """(line, row dict) for each record of a CSV file with a header; a
+    missing trailing field reads as ``""``, a field past the header is a
+    ``MalformedRecord``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         try:
             missing = [c for c in columns
                        if reader.fieldnames is None or c not in reader.fieldnames]
             if missing:
                 raise MalformedRecord(path, 1, missing[0], "missing column in header")
             for row in reader:
+                if None in row:  # DictReader files fields past the header under None
+                    raise MalformedRecord(path, reader.line_num, "-",
+                                          f"{len(row[None])} field(s) past the header")
                 yield reader.line_num, row
         except csv.Error as exc:
             # DictReader.line_num stops at the last good record; its reader's
@@ -252,18 +271,13 @@ def _csv_rows(path: Path, columns: list[str]):
 def _load_taxonomy(path: Path) -> dict[str, SdsRecord]:
     taxonomy: dict[str, SdsRecord] = {}
     for line, row in _csv_rows(path, TAXONOMY_COLUMNS):
-        sds_id = (row["sds_id"] or "").strip()
+        sds_id = row["sds_id"].strip()
         if not sds_id:
             raise MalformedRecord(path, line, "sds_id", "empty id")
         if sds_id in taxonomy:
             raise DuplicateId("sds", sds_id)
-        conv_raw = (row["byline_convention"] or "").strip()
-        try:
-            convention = Convention(conv_raw)
-        except ValueError:
-            raise MalformedRecord(path, line, "byline_convention",
-                                  f"expected ALPHA or CONTRIB, got {conv_raw!r}")
-        uda_id = (row["uda_id"] or "").strip()
+        convention = _parse_enum(Convention, row, "byline_convention", path, line)
+        uda_id = row["uda_id"].strip()
         if not uda_id:  # the audit keys its per-UDA rows by it
             raise MalformedRecord(path, line, "uda_id", "blank value")
         taxonomy[sds_id] = SdsRecord(sds_id, uda_id, convention)
@@ -271,7 +285,7 @@ def _load_taxonomy(path: Path) -> dict[str, SdsRecord]:
 
 
 def _parse_affiliations(raw: str, path, line_no: int) -> tuple[tuple[int, str, str], ...]:
-    raw = (raw or "").strip()
+    raw = raw.strip()
     if not raw:
         return ()
     triples = []
@@ -295,33 +309,25 @@ def _parse_affiliations(raw: str, path, line_no: int) -> tuple[tuple[int, str, s
 def _load_researchers(path: Path) -> dict[str, Researcher]:
     researchers: dict[str, Researcher] = {}
     for line, row in _csv_rows(path, RESEARCHER_COLUMNS):
-        rid = (row["id"] or "").strip()
+        rid = row["id"].strip()
         if not rid:
             raise MalformedRecord(path, line, "id", "empty id")
         if rid in researchers:
             raise DuplicateId("researcher", rid)
-        try:
-            gender = Gender(row["gender"].strip())
-        except (AttributeError, ValueError):
-            raise MalformedRecord(path, line, "gender",
-                                  f"expected F or M, got {row.get('gender')!r}")
-        try:
-            rank = Rank(row["rank"].strip())
-        except (AttributeError, ValueError):
-            raise MalformedRecord(path, line, "rank",
-                                  f"expected AST, ASO or FUL, got {row.get('rank')!r}")
+        gender = _parse_enum(Gender, row, "gender", path, line)
+        rank = _parse_enum(Rank, row, "rank", path, line)
         for name in ("family_name", "university_id"):  # blanks would match each other
-            if not (row[name] or "").strip():
+            if not row[name].strip():
                 raise MalformedRecord(path, line, name, "blank value")
         start = _parse_int(row["career_start_year"], path, line, "career_start_year")
-        end_raw = (row["career_end_year"] or "").strip()
+        end_raw = row["career_end_year"].strip()
         end = _parse_int(end_raw, path, line, "career_end_year") if end_raw else None
         researchers[rid] = Researcher(
             id=rid,
             gender=gender,
             family_name=row["family_name"],
-            university_id=(row["university_id"] or "").strip(),
-            sds_id=(row["sds_id"] or "").strip(),
+            university_id=row["university_id"].strip(),
+            sds_id=row["sds_id"].strip(),
             rank=rank,
             career_start_year=start,
             career_end_year=end,
@@ -336,6 +342,10 @@ PUBLICATION_FIELDS = {"id": str, "year": int, "subject_category": str,
 COMPETITION_FIELDS = {"id": str, "sds": str, "university": str, "year": int,
                       "president": str, "members": list, "applicants": list,
                       "winners": list}
+# the Competition attribute of each competitions.jsonl field, in file order
+COMPETITION_ATTRIBUTES = {
+    name: {"sds": "sds_id", "university": "university_id"}.get(name, name)
+    for name in COMPETITION_FIELDS}
 _KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
 
 
@@ -397,16 +407,8 @@ def _load_competitions(path: Path) -> dict[str, Competition]:
         cid = record["id"]
         if cid in competitions:
             raise DuplicateId("competition", cid)
-        competitions[cid] = Competition(
-            id=cid,
-            sds_id=record["sds"],
-            university_id=record["university"],
-            year=record["year"],
-            president=record["president"],
-            members=record["members"],
-            applicants=record["applicants"],
-            winners=record["winners"],
-        )
+        competitions[cid] = Competition(**{attr: record[name] for name, attr
+                                           in COMPETITION_ATTRIBUTES.items()})
     return competitions
 
 
@@ -596,16 +598,7 @@ def write_corpus(corpus: Corpus, directory: str | Path) -> CorpusPaths:
 
     with open(paths.competitions, "w", encoding="utf-8") as fh:
         for comp in corpus.competitions.values():
-            record = {
-                "id": comp.id,
-                "sds": comp.sds_id,
-                "university": comp.university_id,
-                "year": comp.year,
-                "president": comp.president,
-                "members": comp.members,
-                "applicants": comp.applicants,
-                "winners": comp.winners,
-            }
-            fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps({name: getattr(comp, attr) for name, attr
+                                 in COMPETITION_ATTRIBUTES.items()}) + "\n")
 
     return paths

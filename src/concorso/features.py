@@ -46,7 +46,7 @@ class ApplicantFeatures:
     coauthoring_members: int      # PE
     same_gender_president: int    # SP
     same_gender_majority: int     # SE
-    merit_raw: float = 0.0        # raw score behind merit_pct, for median tests
+    merit_raw: float              # raw score behind merit_pct, for median tests
 
 
 # The regressors by code, in design order, with the ApplicantFeatures field

@@ -34,7 +34,6 @@ OTHERS_SHARE_DIFF_UNI = 0.10
 
 @dataclass(slots=True)
 class ProductivityScore:
-    researcher_id: str
     fss: float
     t: int
     n_pubs: int
@@ -195,7 +194,7 @@ def score_corpus(corpus: Corpus) -> ScoreTable:
         if t == 0:
             table.skipped.append(rid)
             continue
-        table.scores[rid] = ProductivityScore(rid, totals[rid] / t, t, n_pubs[rid])
+        table.scores[rid] = ProductivityScore(totals[rid] / t, t, n_pubs[rid])
         cohorts.setdefault((researcher.sds_id, researcher.rank.value), []).append(rid)
 
     for members in cohorts.values():

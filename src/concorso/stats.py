@@ -33,7 +33,7 @@ BETA_BLOWUP = 30.0
 @dataclass
 class TestResult:
     statistic: float
-    df: float | tuple[float, float]
+    df: float
     p_one_sided: float
     p_two_sided: float
     r: float | None = None

@@ -310,6 +310,21 @@ def test_bad_convention(tmp_path):
     assert err.value.field == "byline_convention"
 
 
+@pytest.mark.parametrize("name, row, message", [
+    ("researchers.csv", "r1,X,Rossi,U1,MAT-05,AST,2000,,\n",
+     "field 'gender': expected F or M, got 'X'"),
+    ("researchers.csv", "r1,F,Rossi,U1,MAT-05,PROF,2000,,\n",
+     "field 'rank': expected AST, ASO or FUL, got 'PROF'"),
+    ("taxonomy.csv", "MAT-05,09,SORTED\n",
+     "field 'byline_convention': expected ALPHA or CONTRIB, got 'SORTED'"),
+])
+def test_bad_enum_value_message(tmp_path, name, row, message):
+    write_inputs(tmp_path, **{name.split(".")[0]: row})
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == f"{tmp_path / name}:2: {message}"
+
+
 def test_missing_file_is_data_error(tmp_path):
     write_inputs(tmp_path)
     (tmp_path / "publications.jsonl").unlink()
@@ -409,6 +424,13 @@ def _loaded(corpus):
     # the audit keys its per-UDA rows by uda_id
     ("taxonomy.csv", "MAT-05,09", "MAT-05, ", MalformedRecord,
      {"line_no": 2, "field": "uda_id"}),
+    # a field past the header is an error; a missing trailing field is empty
+    ("researchers.csv", "AST,2000,,\n", "AST,2000,,,EXTRA\n", MalformedRecord,
+     {"line_no": 2, "field": "-"}),
+    ("taxonomy.csv", "MAT-05,09,ALPHA", "MAT-05,09,ALPHA,EXTRA", MalformedRecord,
+     {"line_no": 2, "field": "-"}),
+    ("researchers.csv", "r1,F,Rossi,U1,MAT-05,AST,2000,,\n",
+     "r1,F,Rossi,U1,MAT-05,AST,2000\n", None, {}),
 ])
 def test_loader_edge_cases(tmp_path, name, old, new, error, detail):
     # one edit of one file of a small valid corpus

@@ -71,7 +71,7 @@ def competition(applicants, winners, year=2008, cid="c1"):
 def make_scores(entries):
     table = ScoreTable(window=(2004, 2008))
     for rid, (raw, pct) in entries.items():
-        table.scores[rid] = ProductivityScore(rid, raw, 5, 3, pct)
+        table.scores[rid] = ProductivityScore(raw, 5, 3, pct)
     return table
 
 

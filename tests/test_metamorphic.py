@@ -210,3 +210,33 @@ def test_gender_mirror_swaps_every_contrast(originals, request):
                                          json.loads(outputs["regression.json"]))
     assert mismatched == {case for case in EXIT_CODE_DEPENDS_ON_CODING
                           if case[0] == scale}
+
+
+def _csv_rows(data):
+    return list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
+
+
+def test_report_outputs_agree_with_each_other(originals):
+    """The counts one report states in several files are the same counts."""
+    for _, _, (code, _, outputs) in originals:
+        features = _csv_rows(outputs["features.csv"])
+        findings = _csv_rows(outputs["findings.csv"])
+        outcomes = {}
+        for row in features:
+            outcomes.setdefault(row["competition_id"], set()).add(row["E"])
+        # only competitions with a winner and a non-winner are audited
+        audited = {cid for cid, seen in outcomes.items() if seen == {"0", "1"}}
+        n_audited_rows = sum(row["competition_id"] in audited for row in features)
+        for kind in ("negative", "positive"):
+            twin = json.loads(outputs[f"bias_{kind}.json"])
+            assert twin["n_findings"] == sum(f["kind"] == kind for f in findings)
+            overall = twin["overall"]
+            for gender in ("female", "male"):
+                assert (sum(row[gender]["n_flagged"] for row in twin["rows"])
+                        == overall[gender]["n_flagged"])
+            assert (overall["female"]["n_applicants"] + overall["male"]["n_applicants"]
+                    == n_audited_rows)
+            assert twin["n_competitions"] == len(audited)
+        if code == 0:
+            fit = json.loads(outputs["regression.json"])
+            assert (fit["n_obs"], fit["n_clusters"]) == (len(features), len(outcomes))

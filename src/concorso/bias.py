@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import DegenerateInput
-from .features import ApplicantFeatures, by_gender
-from .stats import adjust_family, pearson, two_sample_t
+from .features import ApplicantFeatures, by_competition, by_gender
+from .stats import adjust_family, ordered_sum, pearson, two_sample_t
 
 DEFAULT_THRESHOLD = 20.0
 
@@ -129,7 +129,7 @@ def detect_all(
     without both a winner and a non-winner has no findings.
     """
     findings: list[BiasFinding] = []
-    for comp_id, rows in sorted(_by_competition(features).items()):
+    for comp_id, rows in sorted(by_competition(features).items()):
         median = medians.get(corpus.competitions[comp_id].sds_id)
         if median is None:
             continue
@@ -138,19 +138,12 @@ def detect_all(
     return findings
 
 
-def _by_competition(features) -> dict[str, list[ApplicantFeatures]]:
-    by_comp: dict[str, list[ApplicantFeatures]] = {}
-    for f in features:
-        by_comp.setdefault(f.competition_id, []).append(f)
-    return by_comp
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
 
 def _mean(xs) -> float:
-    return sum(xs) / len(xs)
+    return ordered_sum(xs) / len(xs)
 
 
 def _sd(xs) -> float | None:
@@ -158,7 +151,7 @@ def _sd(xs) -> float | None:
     if n < 2:
         return None
     m = _mean(xs)
-    return (sum((x - m) ** 2 for x in xs) / (n - 1)) ** 0.5
+    return (ordered_sum((x - m) ** 2 for x in xs) / (n - 1)) ** 0.5
 
 
 def _t_test(female, male, welch: bool) -> dict | None:
@@ -250,7 +243,7 @@ def aggregate_bias(
     genders get two-sample t-tests, Bonferroni-adjusted across the per-UDA
     family.
     """
-    audited = {comp_id for comp_id, rows in _by_competition(features).items()
+    audited = {comp_id for comp_id, rows in by_competition(features).items()
                if any(r.won for r in rows) and not all(r.won for r in rows)}
     features = [r for r in features if r.competition_id in audited]
 

@@ -215,9 +215,24 @@ def extract_all(
     return rows
 
 
+def feature_arrays(rows) -> dict[str, np.ndarray]:
+    """The outcome as ``E`` and each ``FEATURES`` code as a float array in row
+    order: the one read of the rows behind the design and the report tables."""
+    return {code: np.array([getattr(r, attr) for r in rows], dtype=float)
+            for code, attr in {"E": "won", **FEATURES}.items()}
+
+
+def by_competition(rows) -> dict[str, list[ApplicantFeatures]]:
+    """Each competition's rows, in row order, by competition id."""
+    grouped: dict[str, list[ApplicantFeatures]] = {}
+    for r in rows:
+        grouped.setdefault(r.competition_id, []).append(r)
+    return grouped
+
+
 def by_gender(rows) -> tuple[tuple[str, list], tuple[str, list]]:
     """The rows of female and of male applicants, as ``(("female", rows),
-    ("male", rows))``: the one gender split behind every per-gender table.
+    ("male", rows))``: the gender split of the bias and correlation tables.
     """
     return (("female", [r for r in rows if r.female]),
             ("male", [r for r in rows if not r.female]))
@@ -236,26 +251,18 @@ def build_design(rows, base_columns=None, interactions: bool = True) -> DesignMa
     if interactions and "G" not in base_columns:
         raise ConfigError("interactions require the gender column")
     n = len(rows)
-    values = {c: np.array([getattr(r, FEATURES[c]) for r in rows], dtype=float)
-              for c in base_columns}
-    names = ["const"]
-    columns = [np.ones(n)]
+    values = feature_arrays(rows)
     if interactions:
-        g = values["G"]
-        names.append("G")
-        columns.append(g)
-        for c in base_columns:
-            if c == "G":
-                continue
-            names.extend([c, f"G*{c}"])
-            columns.extend([values[c], g * values[c]])
+        names = ["const", "G", *(name for c in base_columns if c != "G"
+                                 for name in (c, f"G*{c}"))]
     else:
-        for c in base_columns:
-            names.append(c)
-            columns.append(values[c])
+        names = ["const", *base_columns]
+    values["const"] = np.ones(n)
+    columns = [values["G"] * values[name[2:]] if name.startswith("G*")
+               else values[name] for name in names]
     return DesignMatrix(
         X=np.column_stack(columns) if n else np.empty((0, len(names))),
-        y=np.array([r.won for r in rows], dtype=float),
+        y=values["E"],
         clusters=np.array([r.competition_id for r in rows]),
         columns=names,
     )

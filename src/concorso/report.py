@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-from .features import FEATURES, build_design, by_gender
+from .features import FEATURES, build_design, by_gender, feature_arrays
 from .stats import RegressionResult, adjust_family, bonferroni, pearson, vif
 
 SIGNIFICANCE_LEGEND = (
@@ -70,10 +70,13 @@ def _layout(rows: list[list[str]]) -> str:
 # twins come from bias.aggregate_bias
 # ---------------------------------------------------------------------------
 
-def _bracket(count: int, total: int) -> str:
+def _count_shares(female: int, male: int) -> list[str]:
+    """F and M, each with its % of their total in brackets, then the total;
+    three dashes when the total is 0."""
+    total = female + male
     if total == 0:
-        return "-"
-    return f"{count} ({100.0 * count / total:.1f})"
+        return ["-"] * 3
+    return [f"{n} ({100.0 * n / total:.1f})" for n in (female, male)] + [str(total)]
 
 
 def _test_cells(test: dict | None, one_sided: bool, m: int | None) -> list[str]:
@@ -110,16 +113,10 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
              "Applicants F", "Applicants M", "Tot", "Corr F", "Corr M"]]
     for row in all_rows:
         f, m = row["female"], row["male"]
-        tot_flagged = f["n_flagged"] + m["n_flagged"]
-        tot_applicants = f["n_applicants"] + m["n_applicants"]
         grid.append([
             row["uda"],
-            _bracket(f["n_flagged"], tot_flagged),
-            _bracket(m["n_flagged"], tot_flagged),
-            str(tot_flagged) if tot_flagged else "-",
-            _bracket(f["n_applicants"], tot_applicants),
-            _bracket(m["n_applicants"], tot_applicants),
-            str(tot_applicants) if tot_applicants else "-",
+            *_count_shares(f["n_flagged"], m["n_flagged"]),
+            *_count_shares(f["n_applicants"], m["n_applicants"]),
             fmt(f["corr_r"]) + stars(f["corr_p_adj"]),
             fmt(m["corr_r"]) + stars(m["corr_p_adj"]),
         ])
@@ -162,37 +159,30 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
 # descriptive statistics by gender (winners / non-winners / total)
 # ---------------------------------------------------------------------------
 
-def _group_stats(values: list[float]) -> dict:
-    if not values:
+def _group_stats(values: np.ndarray) -> dict:
+    if not values.size:
         return {"n": 0, "avg": None, "sd": None, "max": None}
-    arr = np.asarray(values, dtype=float)
     return {
-        "n": int(arr.size),
-        "avg": float(arr.mean()),
-        "sd": float(arr.std(ddof=1)) if arr.size > 1 else None,
-        "max": float(arr.max()),
+        "n": int(values.size),
+        "avg": float(values.mean()),
+        "sd": float(values.std(ddof=1)) if values.size > 1 else None,
+        "max": float(values.max()),
     }
 
 
 def descriptives_dict(rows) -> dict:
+    values = feature_arrays(rows)
+    won = values["E"] != 0
     twin: dict = {}
-    for label, subset in by_gender(rows):
-        winners = [r for r in subset if r.won]
-        losers = [r for r in subset if not r.won]
-        block = {
-            "n_winners": len(winners),
-            "n_non_winners": len(losers),
-            "n_total": len(subset),
-            "variables": {},
+    for label, gender in (("female", values["G"] != 0), ("male", values["G"] == 0)):
+        groups = {"winners": gender & won, "non_winners": gender & ~won,
+                  "total": gender}
+        twin[label] = {
+            **{f"n_{group}": int(mask.sum()) for group, mask in groups.items()},
+            "variables": {var: {group: _group_stats(values[var][mask])
+                                for group, mask in groups.items()}
+                          for var in REGRESSOR_VARS},
         }
-        for var in REGRESSOR_VARS:
-            attr = FEATURES[var]
-            block["variables"][var] = {
-                "winners": _group_stats([getattr(r, attr) for r in winners]),
-                "non_winners": _group_stats([getattr(r, attr) for r in losers]),
-                "total": _group_stats([getattr(r, attr) for r in subset]),
-            }
-        twin[label] = block
     return twin
 
 
@@ -227,9 +217,7 @@ def render_descriptives(twin: dict) -> str:
 def correlations_dict(rows) -> dict:
     twin: dict = {"variables": CORRELATION_VARS}
     for label, subset in by_gender(rows):
-        values = {"E": [float(r.won) for r in subset]}
-        for var in REGRESSOR_VARS:
-            values[var] = [float(getattr(r, FEATURES[var])) for r in subset]
+        values = feature_arrays(subset)
         pairs: dict[str, dict | None] = {}
         for i, a in enumerate(CORRELATION_VARS):
             for b in CORRELATION_VARS[i + 1:]:

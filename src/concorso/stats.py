@@ -116,6 +116,16 @@ def _chi2_sf(x: float, df: int) -> float:
     return float(chdtrc(df, max(x, 0.0)))
 
 
+def ordered_sum(xs) -> float:
+    """The sum of ``xs`` added left to right, with no compensation: the
+    builtin ``sum`` compensates float rounding since Python 3.12, so it gives
+    other last bits on 3.12+ than on 3.10 and 3.11."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def bonferroni(p_values, m: int | None = None) -> list[float]:
     """Family-wise adjustment: p' = min(1, m * p); m defaults to |p_values|."""
     p_values = list(p_values)
@@ -239,10 +249,11 @@ def fit_logit(design: DesignMatrix) -> RegressionResult:
     eta = X @ beta
     ll = _log_likelihood(eta, y)
     ll_change = math.inf
-    # each pass checks the current beta, then takes one Newton step; the bread
-    # below uses the last pass's p, and ``steps`` counts the steps taken
+    # each pass checks the current beta, then takes one Newton step; ``steps``
+    # counts the steps, and the bread inverts the last pass's information
     for steps in range(MAX_ITERATIONS + 1):
         p = _sigmoid(eta)
+        information = X.T @ (X * (p * (1.0 - p))[:, None])
         if ((p < PROB_PIN) | (p > 1.0 - PROB_PIN)).any() and \
                 float(np.abs(beta).max()) > BETA_BLOWUP:
             raise SeparationDetected(
@@ -254,10 +265,8 @@ def fit_logit(design: DesignMatrix) -> RegressionResult:
         score = X.T @ (y - p)
         if float(np.abs(score).max()) < SCORE_TOL:
             break
-        w = p * (1.0 - p)
-        hessian = X.T @ (X * w[:, None])
         try:
-            delta = np.linalg.solve(hessian, score)
+            delta = np.linalg.solve(information, score)
         except np.linalg.LinAlgError:
             raise SeparationDetected("information matrix became singular")
         step = 1.0
@@ -271,9 +280,7 @@ def fit_logit(design: DesignMatrix) -> RegressionResult:
         beta, eta = candidate, eta_new
         ll_change, ll = ll_new - ll, ll_new
 
-    w = p * (1.0 - p)
-    hessian = X.T @ (X * w[:, None])
-    bread = np.linalg.inv(hessian)
+    bread = np.linalg.inv(information)
 
     labels, inverse = np.unique(design.clusters, return_inverse=True)
     n_clusters = labels.size
@@ -367,5 +374,5 @@ def vif(design: DesignMatrix) -> tuple[dict[str, float], float]:
         if r2 >= 1.0:
             raise RankDeficient(f"column {name} is exactly explained by the others")
         out[name] = 1.0 / (1.0 - r2)
-    average = sum(out.values()) / len(out)
+    average = ordered_sum(out.values()) / len(out)
     return out, average

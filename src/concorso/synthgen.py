@@ -37,8 +37,9 @@ from .corpus import (
     write_corpus,
 )
 from .errors import InfeasibleConfig
+from .features import MIN_CAREER_YEARS, by_competition, extract_all
 # extract_features stays bound: perfbench/tracer.py counts its calls from here
-from .features import MIN_CAREER_YEARS, extract_all, extract_features  # noqa: F401
+from .features import extract_features  # noqa: F401
 from .scoring import score_corpus
 
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
@@ -343,9 +344,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     # phase two: score the provisional corpus and select winners; extraction
     # draws nothing from rng and reads no winners, so one extract_all serves all
     scores = score_corpus(corpus)
-    rows_by_comp: dict[str, list] = {}
-    for row in extract_all(corpus, scores):
-        rows_by_comp.setdefault(row.competition_id, []).append(row)
+    rows_by_comp = by_competition(extract_all(corpus, scores))
     truth = GroundTruth()
     w = cfg.weights
     k = cfg.winners_per_competition

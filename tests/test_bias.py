@@ -249,6 +249,20 @@ def test_detect_all_uses_sds_medians():
     assert ("c2", "positive", "w2") in kinds
 
 
+def test_detect_all_skips_a_competition_without_a_cohort_median():
+    corpus = audit_corpus()
+    features = [
+        row("c1", "w1", 1, 10, raw=0.5), row("c1", "n1", 0, 80, raw=3.0),
+        row("c2", "w2", 1, 10, raw=0.5), row("c2", "n2", 0, 80, raw=3.0),
+    ]
+    with_medians = detect_all(features, corpus, {"SA": 2.0, "SB": 2.0})
+    assert {f.competition_id for f in with_medians} == {"c1", "c2"}
+    # SB has an empty cohort, so no median: c2 is skipped, c1 is flagged as before
+    findings = detect_all(features, corpus, {"SA": 2.0})
+    assert findings == [f for f in with_medians if f.competition_id == "c1"]
+    assert findings
+
+
 def test_aggregate_counts_and_levels():
     corpus = audit_corpus()
     features = [

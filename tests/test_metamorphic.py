@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ SCALES = [(5, 40, 6), (6, 30, 8), (8, 40, 5)]
 SEEDS = range(4)
 CP_EFFECT = LatentWeights(cp=6.0, noise_sd=8.0)
 EXTERNAL_PREFIX = "renamed-"  # the namespace of renamed external authors
+ROSTER_PREFIX = "roster-"     # the namespace of renamed roster researchers
 
 
 def _report(input_dir, out_dir):
@@ -79,34 +81,86 @@ def test_report_ignores_input_line_order(originals):
         assert _report(shuffled, root / "out_shuffled") == expected
 
 
-def _renamed_externals_copy(source_dir, dest_dir, rng):
-    """Copy a corpus with every byline author outside the roster renamed,
-    one to one and in shuffled order, into ``EXTERNAL_PREFIX`` names."""
+# a byline author as publications.jsonl writes it; null authors do not match
+AUTHOR = re.compile(r'"author": "([^"]*)"')
+
+
+def _roster(corpus_dir):
+    with open(CorpusPaths.in_dir(corpus_dir).researchers, newline="",
+              encoding="utf-8") as fh:
+        return {row["id"] for row in csv.DictReader(fh)}
+
+
+def _byline_authors(corpus_dir):
+    text = CorpusPaths.in_dir(corpus_dir).publications.read_text(encoding="utf-8")
+    return set(AUTHOR.findall(text))
+
+
+def _renamed_copy(source_dir, dest_dir, new_name):
+    """Copy a corpus with each researcher id and byline author that is a key
+    of ``new_name`` renamed to its value, in every field that holds one: the
+    researchers.csv id, bylines, and each competition's president, members,
+    applicants and winners."""
     source, dest = CorpusPaths.in_dir(source_dir), CorpusPaths.in_dir(dest_dir)
-    with open(source.researchers, newline="", encoding="utf-8") as fh:
-        roster = {row["id"] for row in csv.DictReader(fh)}
-    assert not any(rid.startswith(EXTERNAL_PREFIX) for rid in roster)
-    records = [json.loads(line) for line in
-               source.publications.read_text(encoding="utf-8").splitlines()]
-    externals = sorted({e["author"] for r in records for e in r["byline"]
-                        if e["author"] is not None and e["author"] not in roster})
-    assert externals
-    numbers = rng.sample(range(len(externals)), len(externals))
-    new_name = {a: f"{EXTERNAL_PREFIX}{n}" for a, n in zip(externals, numbers)}
-    for record in records:
-        for entry in record["byline"]:
-            entry["author"] = new_name.get(entry["author"], entry["author"])
+    def rename(rid):
+        return new_name.get(rid, rid)
+
     dest_dir.mkdir()
-    dest.publications.write_text("".join(json.dumps(r) + "\n" for r in records),
+    with open(source.researchers, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        researchers = list(reader)
+    with open(dest.researchers, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, reader.fieldnames)
+        writer.writeheader()
+        writer.writerows({**r, "id": rename(r["id"])} for r in researchers)
+    dest.publications.write_text(AUTHOR.sub(
+        lambda m: f'"author": "{rename(m[1])}"',
+        source.publications.read_text(encoding="utf-8")), encoding="utf-8")
+    competitions = [json.loads(line) for line in
+                    source.competitions.read_text(encoding="utf-8").splitlines()]
+    for record in competitions:
+        record["president"] = rename(record["president"])
+        for field in ("members", "applicants", "winners"):
+            record[field] = [rename(rid) for rid in record[field]]
+    dest.competitions.write_text("".join(json.dumps(r) + "\n" for r in competitions),
                                  encoding="utf-8")
-    for name in ("researchers", "competitions", "taxonomy"):
-        getattr(dest, name).write_bytes(getattr(source, name).read_bytes())
+    dest.taxonomy.write_bytes(source.taxonomy.read_bytes())
 
 
 def test_report_ignores_external_author_names(originals):
     for seed, root, expected in originals:
-        _renamed_externals_copy(root / "corpus", root / "renamed", random.Random(seed))
+        roster = _roster(root / "corpus")
+        assert not any(rid.startswith(EXTERNAL_PREFIX) for rid in roster)
+        externals = sorted(_byline_authors(root / "corpus") - roster)
+        assert externals
+        numbers = random.Random(seed).sample(range(len(externals)), len(externals))
+        new_name = {a: f"{EXTERNAL_PREFIX}{n}" for a, n in zip(externals, numbers)}
+        _renamed_copy(root / "corpus", root / "renamed", new_name)
         assert _report(root / "renamed", root / "out_renamed") == expected
+
+
+def test_report_ignores_roster_id_names(originals):
+    """Renaming roster ids in an order-preserving way changes the outputs only
+    by the ids: mapped back, every byte is as it was. External authors keep
+    their names."""
+    for _, root, expected in originals:
+        roster = sorted(_roster(root / "corpus"))
+        new_name = {rid: f"{ROSTER_PREFIX}{i:05d}" for i, rid in enumerate(roster)}
+        # the renaming keeps the order of the roster ids among every id, so
+        # every sort of ids comes out in the same order
+        ids = set(roster) | _byline_authors(root / "corpus")
+        assert ([new_name.get(i, i) for i in sorted(ids)]
+                == sorted(new_name.get(i, i) for i in ids))
+        _renamed_copy(root / "corpus", root / "renumbered", new_name)
+        code, streams, outputs = _report(root / "renumbered", root / "out_renumbered")
+
+        old_name = {new.encode(): rid.encode() for rid, new in new_name.items()}
+        pattern = re.compile(re.escape(ROSTER_PREFIX).encode() + rb"\d{5}")
+        mapped_back = {name: pattern.sub(lambda m: old_name[m.group()], data)
+                       for name, data in outputs.items()}
+        assert not any(ROSTER_PREFIX.encode() in data for data in expected[2].values())
+        assert any(data != mapped_back[name] for name, data in outputs.items())
+        assert (code, streams, mapped_back) == expected
 
 
 # Mirrored runs whose exit codes differ, as (scale, seed). The 6x30x8 seed-0

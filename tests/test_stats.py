@@ -21,6 +21,7 @@ from concorso.stats import (
     _chi2_sf,
     bonferroni,
     fit_logit,
+    ordered_sum,
     pearson,
     two_sample_t,
     vif,
@@ -151,6 +152,15 @@ def test_bonferroni_examples():
     assert bonferroni([0.5], 10) == [1.0]
     assert bonferroni([0.01, 0.02]) == [0.02, 0.04]
     assert bonferroni([], 5) == []
+
+
+# --- ordered_sum -------------------------------------------------------------
+
+def test_ordered_sum_rounds_each_addition_in_order():
+    # the builtin sum of Python 3.12+ compensates and gives 1.0 here
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum(x for x in (1e16, -1e16, 1.0)) == 1.0
+    assert ordered_sum([]) == 0.0
 
 
 # --- logit -------------------------------------------------------------------

@@ -520,10 +520,11 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             report.add("competition", comp.id,
                        f"committee size {1 + len(comp.members)} != 5 "
                        "(president plus 4 members required)")
-        committee = comp.committee
-        if len(set(committee)) != len(committee):
-            report.add("competition", comp.id, "committee members are not distinct")
-        for rid in committee:
+        for role, ids in (("committee members", comp.committee),
+                          ("applicants", comp.applicants), ("winners", comp.winners)):
+            if len(set(ids)) != len(ids):
+                report.add("competition", comp.id, f"{role} are not distinct")
+        for rid in comp.committee:
             r = corpus.researchers.get(rid)
             if r is None:
                 continue  # load_corpus rejects unresolved committees

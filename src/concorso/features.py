@@ -86,55 +86,42 @@ def filter_eligible(corpus: Corpus) -> dict[str, list[str]]:
 
 
 class _Index:
-    """Lookups shared by the competitions of one extraction call: surnames of
-    full professors by university (one pass over researchers per year),
-    per-researcher affiliation timelines, and ``pub_ids``, each roster
-    researcher's publication ids in the corpus's collaboration window, in
-    corpus order without repeats (one pass over publications, at
-    construction). The ids are tuples, which take a fraction of a set's
-    memory; a competition builds sets for its committee only.
+    """Tables shared by the competitions of one extraction call, built once:
+    ``places``, researcher rows (``row`` maps an id to its row) by window
+    years, each cell 0 outside the career or else a code per (university,
+    SDS), so two researchers share a place in a year when their cells are
+    equal and nonzero; ``surnames``, the normalized family names of full
+    professors by (university, year) for the given years; and ``pub_ids``,
+    each roster researcher's window publication ids in corpus order without
+    repeats, as tuples (a fraction of a set's memory; a competition builds
+    sets for its committee only).
     """
 
-    def __init__(self, corpus: Corpus) -> None:
+    def __init__(self, corpus: Corpus, years: set[int]) -> None:
         self.corpus = corpus
-        self.lo, self.hi = corpus.collaboration_window
-        self._names: dict[int, dict[str, set[str]]] = {}
-        self._timelines: dict[str, tuple[tuple[str, str] | None, ...]] = {}
+        lo, hi = corpus.collaboration_window
+        codes: dict[tuple[str, str] | None, int] = {None: 0}
+        self.row = {rid: i for i, rid in enumerate(corpus.researchers)}
+        self.places = np.array(
+            [[codes.setdefault(place, len(codes)) for place in r.timeline(lo, hi)]
+             for r in corpus.researchers.values()], dtype=np.int64)
+        self.surnames: dict[tuple[str, int], set[str]] = {}
+        full = [r for r in corpus.researchers.values() if r.rank is Rank.FULL]
+        for year in years:
+            for r in full:
+                affiliation = r.affiliation_in(year)
+                if affiliation is not None:
+                    self.surnames.setdefault((affiliation[0], year), set()).add(
+                        normalize_family_name(r.family_name))
         pub_ids: dict[str, list[str]] = {rid: [] for rid in corpus.researchers}
         for pub in corpus.publications.values():
-            if self.lo <= pub.year <= self.hi:
+            if lo <= pub.year <= hi:
                 for entry in pub.byline:
                     ids = pub_ids.get(entry.author)
                     # an author listed twice: the publication is already their last id
                     if ids is not None and (not ids or ids[-1] != pub.id):
                         ids.append(pub.id)
         self.pub_ids = {rid: tuple(ids) for rid, ids in pub_ids.items()}
-
-    def full_professor_names(self, university: str, year: int) -> set[str]:
-        by_university = self._names.get(year)
-        if by_university is None:
-            by_university = self._names[year] = {}
-            for researcher in self.corpus.researchers.values():
-                if researcher.rank is not Rank.FULL:
-                    continue
-                affiliation = researcher.affiliation_in(year)
-                if affiliation is not None:
-                    by_university.setdefault(affiliation[0], set()).add(
-                        normalize_family_name(researcher.family_name))
-        return by_university.get(university, set())
-
-    def timeline(self, researcher_id: str) -> tuple[tuple[str, str] | None, ...]:
-        """(university, sds) per window year, None outside the career."""
-        line = self._timelines.get(researcher_id)
-        if line is None:
-            line = self._timelines[researcher_id] = self.corpus.researchers[
-                researcher_id].timeline(self.lo, self.hi)
-        return line
-
-
-def _shared_years(a, b) -> int:
-    """Window years two timelines spent at the same university and SDS."""
-    return sum(1 for fa, fb in zip(a, b) if fa is not None and fa == fb)
 
 
 def extract_features(
@@ -143,33 +130,33 @@ def extract_features(
     scores: ScoreTable,
 ) -> list[ApplicantFeatures]:
     """Feature rows for one competition's eligible applicants, sorted by id."""
-    return _competition_rows(comp, _Index(corpus), scores, _eligible(corpus, comp))
+    return _competition_rows(comp, _Index(corpus, {comp.year}), scores,
+                             _eligible(corpus, comp))
 
 
 def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
                       eligible: list[str]) -> list[ApplicantFeatures]:
     corpus = index.corpus
-    local_names = index.full_professor_names(comp.university_id, comp.year)
+    local_names = index.surnames.get((comp.university_id, comp.year), ())
     president = corpus.researchers[comp.president]
-    members = [corpus.researchers[m] for m in comp.members]
-    president_line = index.timeline(comp.president)
-    member_lines = [index.timeline(m) for m in comp.members]
+    committee_genders = [corpus.researchers[c].gender for c in comp.committee]
     president_pubs = set(index.pub_ids[comp.president])
     member_pubs = [set(index.pub_ids[m]) for m in comp.members]
-    committee_genders = [president.gender] + [m.gender for m in members]
     winner_set = set(comp.winners)
+    applicants = sorted(set(eligible))
+    # years each applicant shared a place with each committee member,
+    # president first: CP is the first count, CE the sum of the others
+    committee = index.places[[index.row[c] for c in comp.committee]]
+    places = index.places[[index.row[rid] for rid in applicants]][:, None, :]
+    shared_years = ((places == committee) & (places > 0)).sum(axis=2).tolist()
 
     rows = []
-    for rid in sorted(set(eligible)):
+    for rid, (cp, *member_years) in zip(applicants, shared_years):
         applicant = corpus.researchers[rid]
         score = scores.scores.get(rid)
         if score is None:
             raise MissingScore(f"applicant {rid} has no productivity score")
         applicant_pubs = index.pub_ids[rid]
-        line = index.timeline(rid)
-
-        cp = _shared_years(line, president_line)
-        ce = sum(_shared_years(line, m) for m in member_lines)
         if president_pubs:
             shared = sum(1 for pid in applicant_pubs if pid in president_pubs)
             pp = 100.0 * shared / len(president_pubs)
@@ -187,7 +174,7 @@ def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
             surname_match=1 if normalize_family_name(applicant.family_name)
             in local_names else 0,
             years_with_president=cp,
-            years_with_members=ce,
+            years_with_members=sum(member_years),
             president_coauth_share=pp,
             coauthoring_members=pe,
             same_gender_president=1 if applicant.gender == president.gender else 0,
@@ -207,7 +194,7 @@ def extract_all(
     """
     if eligible is None:
         eligible = filter_eligible(corpus)
-    index = _Index(corpus)
+    index = _Index(corpus, {comp.year for comp in corpus.competitions.values()})
     rows = []
     for comp_id in sorted(corpus.competitions):
         rows.extend(_competition_rows(corpus.competitions[comp_id], index,

@@ -566,6 +566,10 @@ def make_validation_fixture(tmp_path):
         '{"id": "c3", "sds": "MAT-05", "university": "U1", "year": 2008,'
         ' "president": "r2", "members": ["r4", "r4", "r6", "r7"],'
         ' "applicants": ["r1"], "winners": ["r1"]}\n'
+        # repeated applicant and winner: two winner entries, one winner
+        '{"id": "c4", "sds": "MAT-05", "university": "U1", "year": 2008,'
+        ' "president": "r2", "members": ["r4", "r5", "r6", "r7"],'
+        ' "applicants": ["r1", "r1", "ext-y"], "winners": ["r1", "r1"]}\n'
     )
     return load_corpus(write_inputs(tmp_path, researchers=researchers,
                                     publications=publications,
@@ -599,6 +603,8 @@ def test_validation_catches_each_violation(tmp_path):
     assert any("belongs to SDS FIS-01" in m for m in c2)
     assert any("0 winners" in m for m in c2)
     assert any("not distinct" in m for m in by_entity[("competition", "c3")])
+    assert by_entity[("competition", "c4")] == ["applicants are not distinct",
+                                                "winners are not distinct"]
 
 
 def test_round_trip_is_lossless(tmp_path):

@@ -555,9 +555,10 @@ def test_index_hand_fixture_career_end_and_years():
                        moves=[(2004, "UA", "S2"), (2005, "UA", "S1")]),
             researcher("fp", name="Neri", rank=Rank.FULL, start=1980, end=2007),
             researcher("a1", name="Neri"),
-            researcher("a2", start=2000, moves=[(2009, "UB", "S1")])]
+            researcher("a2", start=2000, moves=[(2009, "UB", "S1")]),
+            researcher("a3", end=2005)]  # leaves with m1
     comps = [competition(["a1", "a2"], ["a1"], year=2006, cid="c1"),
-             competition(["a1", "a2"], ["a2"], year=2009, cid="c2")]
+             competition(["a1", "a2", "a3"], ["a2"], year=2009, cid="c2")]
     corpus = make_corpus(rows, competitions=comps, extra_sds=("S2",))
     feats = {(f.competition_id, f.researcher_id): f
              for f in extract_all(corpus, default_scores(corpus))}
@@ -568,6 +569,10 @@ def test_index_hand_fixture_career_end_and_years():
     # m1 shares 2001-2005; m4 shares 2005 only (S2 in 2004)
     assert feats["c1", "a1"].years_with_members == 6
     assert feats["c2", "a2"].years_with_president == 9  # at UB in 2009
+    # a3 shares 2001-2005 with pr and m1, and 2005 with m4; the years after,
+    # when a3 and m1 are both outside their careers, are not shared
+    assert feats["c2", "a3"].years_with_president == 5
+    assert feats["c2", "a3"].years_with_members == 6
     for window in ((2001, 2010), (1995, 2020)):
         assert_index_matches_reference(corpus, window)
 

@@ -246,7 +246,7 @@ def test_gender_mirror_swaps_every_contrast(originals, request):
     mismatched = set()
     for seed, root, expected in originals:
         _mirrored_copy(root / "corpus", root / "mirrored")
-        code, _, outputs = _report(root / "mirrored", root / "out_mirrored")
+        code, streams, outputs = _report(root / "mirrored", root / "out_mirrored")
         if code != expected[0]:
             mismatched.add((scale, seed))
         assert code in (0, 2)
@@ -256,6 +256,8 @@ def test_gender_mirror_swaps_every_contrast(originals, request):
         for name in ("bias_negative.json", "bias_positive.json"):
             _assert_bias_twins_mirror(json.loads(original[name]),
                                       json.loads(outputs[name]))
+        if code == expected[0] == 2:  # the same reason, in the same words
+            assert streams == expected[1]
         if code == expected[0] == 0:
             for name in ("descriptives.json", "correlations.json"):
                 assert json.loads(outputs[name]) == _swapped(

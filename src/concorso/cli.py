@@ -14,9 +14,11 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
-
+# Set before numpy loads: idle OpenBLAS workers spin, and the fit's bits vary with their count
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from .bias import (
     DEFAULT_THRESHOLD,
     BiasKind,

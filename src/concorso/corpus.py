@@ -535,9 +535,12 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
                 report.add("competition", comp.id,
                            f"committee member {rid} belongs to SDS {r.sds_id}, "
                            f"competition is in {comp.sds_id}")
-        applicant_set = set(comp.applicants)
+        for a in comp.applicants:
+            end = getattr(corpus.researchers.get(a), "career_end_year", None)
+            if end is not None and end < comp.year:
+                report.add("competition", comp.id, f"applicant {a}'s career ended in {end}")
         for w in comp.winners:
-            if w not in applicant_set:
+            if w not in comp.applicants:
                 report.add("competition", comp.id, f"winner {w} is not an applicant")
         if not 1 <= len(comp.winners) <= 2:
             report.add("competition", comp.id,

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import shutil
 import subprocess
@@ -315,6 +316,53 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0
     assert "seed 0" in proc.stdout
     assert (out / "researchers.csv").exists()
+
+
+def python_with(threads, code):
+    """A fresh interpreter running ``code``, with the caller's environment
+    asking for ``threads`` BLAS threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    return subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_cli_runs_blas_on_one_thread():
+    # numpy and scipy each load an OpenBLAS; with two threads asked for,
+    # each would start a worker thread beside the main one
+    proc = python_with("2", "import concorso.cli, scipy.special\n"
+                            "print(open('/proc/self/status').read())")
+    status = proc.communicate()[0]
+    assert proc.returncode == 0
+    assert [line for line in status.splitlines() if line.startswith("Threads:")] \
+        == ["Threads:\t1"]
+
+
+# a seeded 12,000 x 18 design, the L fit's shape: at this size OpenBLAS
+# splits X.T @ (X * w) across threads, and the split changes the sums' bits
+FIT_SEEDED_DESIGN = """
+import concorso.cli
+import json
+import numpy as np
+from concorso.report import regression_dict
+from concorso.stats import DesignMatrix, fit_logit
+rng = np.random.default_rng(20)
+n, k = 12000, 18
+X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+p = 1.0 / (1.0 + np.exp(-X @ rng.normal(scale=0.3, size=k)))
+design = DesignMatrix(X=X, y=(rng.random(n) < p).astype(float),
+                      clusters=np.arange(n) // 6,
+                      columns=["const"] + [f"x{i}" for i in range(1, k)])
+print(json.dumps(regression_dict(fit_logit(design))))
+"""
+
+
+def test_fit_bits_do_not_depend_on_the_callers_blas_threads():
+    procs = [python_with(threads, FIT_SEEDED_DESIGN) for threads in ("1", "2")]
+    outputs = [proc.communicate()[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outputs[0] == outputs[1]
 
 
 def test_merit_only_pipeline_winners_match_truth(tmp_path, capsys):

@@ -544,6 +544,7 @@ def make_validation_fixture(tmp_path):
         "r6,M,Riva,U1,MAT-05,FUL,1990,,\n"
         "r7,F,Fontana,U1,MAT-05,FUL,1990,,\n"
         "r8,M,Costa,U2,FIS-01,FUL,1990,,\n"
+        "r9,M,Greco,U1,MAT-05,AST,1995,2005,\n"      # career over by 2008
     )
     publications = (
         '{"id": "p1", "year": 2005, "subject_category": "SC1", "citations": -3,'
@@ -570,6 +571,10 @@ def make_validation_fixture(tmp_path):
         '{"id": "c4", "sds": "MAT-05", "university": "U1", "year": 2008,'
         ' "president": "r2", "members": ["r4", "r5", "r6", "r7"],'
         ' "applicants": ["r1", "r1", "ext-y"], "winners": ["r1", "r1"]}\n'
+        # an applicant whose career ended before the competition year
+        '{"id": "c5", "sds": "MAT-05", "university": "U1", "year": 2008,'
+        ' "president": "r2", "members": ["r4", "r5", "r6", "r7"],'
+        ' "applicants": ["r9", "r1"], "winners": ["r1"]}\n'
     )
     return load_corpus(write_inputs(tmp_path, researchers=researchers,
                                     publications=publications,
@@ -605,6 +610,8 @@ def test_validation_catches_each_violation(tmp_path):
     assert any("not distinct" in m for m in by_entity[("competition", "c3")])
     assert by_entity[("competition", "c4")] == ["applicants are not distinct",
                                                 "winners are not distinct"]
+    assert by_entity[("competition", "c5")] == ["applicant r9's career ended in 2005"]
+    assert ("researcher", "r9") not in by_entity
 
 
 def test_round_trip_is_lossless(tmp_path):

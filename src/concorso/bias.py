@@ -16,12 +16,11 @@ Threshold comparisons are non-strict; ties at the cohort median count as
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import Corpus, write_table
 from .errors import DegenerateInput
 from .features import ApplicantFeatures, by_competition, by_gender
 from .stats import adjust_family, ordered_sum, pearson, two_sample_t
@@ -273,10 +272,6 @@ def aggregate_bias(
 def write_findings(findings, path: str | Path) -> None:
     ordered = sorted(findings, key=lambda f: (f.competition_id, f.kind.value,
                                               f.researcher_id))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["competition_id", "researcher_id", "kind", "level",
-                         "triggers"])
-        for f in ordered:
-            writer.writerow([f.competition_id, f.researcher_id, f.kind.value,
-                             repr(f.level), ";".join(f.triggers)])
+    write_table(path, ["competition_id", "researcher_id", "kind", "level", "triggers"],
+                ([f.competition_id, f.researcher_id, f.kind.value, f.level,
+                  ";".join(f.triggers)] for f in ordered))

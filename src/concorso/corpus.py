@@ -553,6 +553,22 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
 # serialization
 # ---------------------------------------------------------------------------
 
+def write_table(path: str | Path, header, rows) -> None:
+    """The one CSV writer: UTF-8 in the csv module's default dialect (CRLF
+    line ends, a float as its repr, ``None`` as an empty field)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_lines(path: str | Path, records) -> None:
+    """The one JSON-lines writer: UTF-8, one ``json.dumps`` (ASCII-escaped)
+    of each record per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
+
+
 def _json_str(text: str | None) -> str:
     return "null" if text is None else encode_basestring_ascii(text)
 
@@ -570,22 +586,14 @@ def write_corpus(corpus: Corpus, directory: str | Path) -> CorpusPaths:
     directory.mkdir(parents=True, exist_ok=True)
     paths = CorpusPaths.in_dir(directory)
 
-    with open(paths.taxonomy, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TAXONOMY_COLUMNS)
-        for rec in corpus.taxonomy.values():
-            writer.writerow([rec.sds_id, rec.uda_id, rec.convention.value])
-
-    with open(paths.researchers, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESEARCHER_COLUMNS)
-        for r in corpus.researchers.values():
-            writer.writerow([
-                r.id, r.gender.value, r.family_name, r.university_id, r.sds_id,
-                r.rank.value, r.career_start_year,
-                "" if r.career_end_year is None else r.career_end_year,
-                ";".join(f"{y}:{u}:{s}" for y, u, s in r.affiliations),
-            ])
+    write_table(paths.taxonomy, TAXONOMY_COLUMNS,
+                ([rec.sds_id, rec.uda_id, rec.convention.value]
+                 for rec in corpus.taxonomy.values()))
+    write_table(paths.researchers, RESEARCHER_COLUMNS,
+                ([r.id, r.gender.value, r.family_name, r.university_id, r.sds_id,
+                  r.rank.value, r.career_start_year, r.career_end_year,
+                  ";".join(f"{y}:{u}:{s}" for y, u, s in r.affiliations)]
+                 for r in corpus.researchers.values()))
 
     # the largest file, so each line is formatted directly; the bytes equal
     # json.dumps of {"id", "year", "subject_category", "citations",
@@ -600,9 +608,7 @@ def write_corpus(corpus: Corpus, directory: str | Path) -> CorpusPaths:
                      f'"subject_category": {_json_str(pub.subject_category_id)}, '
                      f'"citations": {pub.citations}, "byline": [{byline}]}}\n')
 
-    with open(paths.competitions, "w", encoding="utf-8") as fh:
-        for comp in corpus.competitions.values():
-            fh.write(json.dumps({name: getattr(comp, attr) for name, attr
-                                 in COMPETITION_ATTRIBUTES.items()}) + "\n")
-
+    write_lines(paths.competitions,
+                ({name: getattr(comp, attr) for name, attr in COMPETITION_ATTRIBUTES.items()}
+                 for comp in corpus.competitions.values()))
     return paths

@@ -18,13 +18,12 @@ counts a year only when both were at the same university in the same SDS.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Competition, Corpus, Gender, Rank
+from .corpus import Competition, Corpus, Gender, Rank, write_table
 from .errors import ConfigError, MissingScore
 from .scoring import ScoreTable
 from .stats import DesignMatrix
@@ -256,10 +255,6 @@ def build_design(rows, base_columns=None, interactions: bool = True) -> DesignMa
 
 
 def write_features(rows, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXPORT_COLUMNS)
-        for r in rows:
-            # csv writes a float as its repr
-            writer.writerow([r.competition_id, r.researcher_id, r.won,
-                             *(getattr(r, attr) for attr in FEATURES.values())])
+    write_table(path, EXPORT_COLUMNS,
+                ([r.competition_id, r.researcher_id, r.won,
+                  *(getattr(r, attr) for attr in FEATURES.values())] for r in rows))

@@ -17,12 +17,11 @@ Both limitations are recorded in the score metadata.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Convention, Corpus, Rank
+from .corpus import Convention, Corpus, Rank, write_table
 from .errors import InvalidByline
 
 # Weights under the contribution-ordered convention.
@@ -215,16 +214,10 @@ def median_fss_by_sds(table: ScoreTable, corpus: Corpus) -> dict[str, float]:
 
 
 def write_scores(table: ScoreTable, corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["researcher_id", "sds", "rank", "t", "n_pubs", "fss", "percentile"])
-        for rid in sorted(table.scores):
-            score = table.scores[rid]
-            researcher = corpus.researchers[rid]
-            writer.writerow([
-                rid, researcher.sds_id, researcher.rank.value,
-                score.t, score.n_pubs, repr(score.fss), repr(score.percentile),
-            ])
+    write_table(path, ["researcher_id", "sds", "rank", "t", "n_pubs", "fss", "percentile"],
+                ([rid, corpus.researchers[rid].sds_id, corpus.researchers[rid].rank.value,
+                  score.t, score.n_pubs, score.fss, score.percentile]
+                 for rid, score in sorted(table.scores.items())))
 
 
 def score_meta(table: ScoreTable) -> dict:

@@ -15,7 +15,6 @@ differ) are recorded per competition as ground truth.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -35,6 +34,7 @@ from .corpus import (
     Researcher,
     SdsRecord,
     write_corpus,
+    write_lines,
 )
 from .errors import InfeasibleConfig
 from .features import MIN_CAREER_YEARS, by_competition, extract_all
@@ -376,18 +376,11 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     return corpus, truth
 
 
-def write_ground_truth(truth: GroundTruth, directory: str | Path) -> Path:
-    path = Path(directory) / GROUND_TRUTH_FILE
-    with open(path, "w", encoding="utf-8") as fh:
-        for comp_id in sorted(truth.competitions):
-            t = truth.competitions[comp_id]
-            fh.write(json.dumps({
-                "competition": t.competition_id,
-                "merit_winners": t.merit_winners,
-                "selected_winners": t.selected_winners,
-                "injected": t.injected,
-            }) + "\n")
-    return path
+def write_ground_truth(truth: GroundTruth, directory: str | Path) -> None:
+    write_lines(Path(directory) / GROUND_TRUTH_FILE,
+                ({"competition": t.competition_id, "merit_winners": t.merit_winners,
+                  "selected_winners": t.selected_winners, "injected": t.injected}
+                 for _, t in sorted(truth.competitions.items())))
 
 
 def generate_to_dir(cfg: GenConfig, directory: str | Path) -> tuple[Corpus, GroundTruth]:

@@ -14,6 +14,7 @@ from concorso.bias import (
 from concorso.corpus import Competition, Convention, Corpus, SdsRecord
 from concorso.features import ApplicantFeatures
 from concorso.report import fmt, render_bias_table, stars
+from concorso.scoring import percentile_rank
 from concorso.stats import two_sample_t
 
 
@@ -121,6 +122,18 @@ def test_negative_exact_threshold_boundary():
     findings = detect_negative("c1", rows, 0.0)
     assert len(findings) == 1
     assert findings[0].level == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the float gap "
+                   "24.999999999999996 falls one ulp short of threshold 25")
+def test_negative_flags_a_gap_equal_to_the_threshold_in_exact_arithmetic():
+    # in the cohort [1, 2, 3, 3, 5, 6, 7] the 2 ranks at 100/6 and each 3 at
+    # 250/6, exactly 25 percentiles apart
+    pcts = percentile_rank([1, 2, 3, 3, 5, 6, 7])
+    assert (pcts[1], pcts[2]) == (16.666666666666668, 41.666666666666664)
+    rows = [row("c1", "w1", 1, pcts[1]), row("c1", "n1", 0, pcts[2])]
+    findings = detect_negative("c1", rows, 0.0, threshold=25)
+    assert [f.researcher_id for f in findings] == ["n1"]
 
 
 def test_positive_worked_example():

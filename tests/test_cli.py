@@ -339,6 +339,18 @@ def test_cli_runs_blas_on_one_thread():
         == ["Threads:\t1"]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_tests_run_blas_on_one_thread():
+    # tests/conftest.py pins the thread count before any test module loads
+    # numpy, so the in-process golden tests fit as the command does
+    import numpy  # noqa: F401
+    import scipy.special  # noqa: F401
+    with open("/proc/self/status") as fh:
+        threads = [line.strip() for line in fh if line.startswith("Threads:")]
+    assert threads == ["Threads:\t1"]
+
+
 # a seeded 12,000 x 18 design, the L fit's shape: at this size OpenBLAS
 # splits X.T @ (X * w) across threads, and the split changes the sums' bits
 FIT_SEEDED_DESIGN = """

@@ -26,6 +26,8 @@ from concorso.corpus import (
     load_corpus,
     validate_corpus,
     write_corpus,
+    write_lines,
+    write_table,
 )
 from concorso.errors import (
     DanglingReference,
@@ -766,3 +768,22 @@ def test_publication_lines_equal_json_dumps(publications):
         assert load_corpus(directory).publications == {
             p.id: p for p in map(_json_round_trip, publications)}
 
+
+# ---------------------------------------------------------------------------
+# the output writers
+# ---------------------------------------------------------------------------
+
+def test_write_table_and_write_lines_bytes(tmp_path):
+    # CRLF line ends, a float as its repr, None as an empty field, and a
+    # non-ASCII name kept as UTF-8 in CSV but escaped in JSON lines
+    table, lines = tmp_path / "table.csv", tmp_path / "lines.jsonl"
+    write_table(table, ["id", "name", "score", "end"],
+                [["r1", "Niccol\u00f2", 0.1 + 0.2, None], ["r2", "Rossi, A.", 1e-17, 2005]])
+    assert table.read_bytes() == ("id,name,score,end\r\n"
+                                  "r1,Niccol\u00f2,0.30000000000000004,\r\n"
+                                  'r2,"Rossi, A.",1e-17,2005\r\n').encode("utf-8")
+    write_lines(lines, [{"name": "Niccol\u00f2", "score": 0.1 + 0.2, "end": None},
+                        {"winners": ["r1"], "injected": True}])
+    assert lines.read_bytes() == (
+        b'{"name": "Niccol\\u00f2", "score": 0.30000000000000004, "end": null}\n'
+        b'{"winners": ["r1"], "injected": true}\n')

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .corpus import Corpus, write_table
 from .errors import DegenerateInput
-from .features import ApplicantFeatures, by_competition, by_gender
+from .features import ApplicantFeatures, by_competition
 from .stats import adjust_family, ordered_sum, pearson, two_sample_t
 
 DEFAULT_THRESHOLD = 20.0
@@ -259,7 +259,8 @@ def aggregate_bias(
     for uda, rows in groups:
         cells = [(label, [(r.competition_id, r.researcher_id) for r in subset],
                   _correlation(subset))
-                 for label, subset in by_gender(rows)]
+                 for label, subset in (("female", [r for r in rows if r.female]),
+                                       ("male", [r for r in rows if not r.female]))]
         split.append((uda, cells))
     adjust_family((corr for _, cells in split[:-1] for _, _, corr in cells),
                   "corr_p", "corr_p_adj")

@@ -167,11 +167,12 @@ def _write_regress_stage(out_dir: Path, rows) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_features(rows, out_dir / "features.csv")
 
-    twin = descriptives_dict(rows)
+    design = build_design(rows)
+    twin = descriptives_dict(design)
     _write_twin(out_dir / "descriptives", twin, render_descriptives(twin))
-    twin = correlations_dict(rows)
+    twin = correlations_dict(design)
     _write_twin(out_dir / "correlations", twin, render_correlations(twin))
-    result = fit_logit(build_design(rows))
+    result = fit_logit(design)
     twin = regression_dict(result)
     _write_twin(out_dir / "regression", twin, render_regression(twin))
     print(f"fitted logistic model on {result.n_obs} applicant rows in "
@@ -283,6 +284,10 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        # checked before any work: mkdir fails only once the outputs are ready
+        existing = next(p for p in (args.out_dir, *args.out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out-dir {args.out_dir}: {existing} is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -413,7 +413,8 @@ def _load_competitions(path: Path) -> dict[str, Competition]:
 
 
 def _load_utf8(loader, path: Path):
-    """``loader(path)``, with bytes that are not UTF-8 reported by line.
+    """``loader(path)``, with bytes that are not UTF-8 reported by line and a
+    path that cannot be read as a file (a directory, say) as a DataError.
 
     The text decoder fails a whole chunk ahead of the records parsed so far,
     so only then is the file read again, line by line in binary, for the
@@ -421,6 +422,8 @@ def _load_utf8(loader, path: Path):
     """
     try:
         return loader(path)
+    except OSError as exc:
+        raise DataError(f"cannot read input file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:
             for line_no, raw in enumerate(fh, start=1):

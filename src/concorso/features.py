@@ -201,13 +201,6 @@ def extract_all(
     return rows
 
 
-def feature_arrays(rows) -> dict[str, np.ndarray]:
-    """The outcome as ``E`` and each ``FEATURES`` code as a float array in row
-    order: the one read of the rows behind the design and the report tables."""
-    return {code: np.array([getattr(r, attr) for r in rows], dtype=float)
-            for code, attr in {"E": "won", **FEATURES}.items()}
-
-
 def by_competition(rows) -> dict[str, list[ApplicantFeatures]]:
     """Each competition's rows, in row order, by competition id."""
     grouped: dict[str, list[ApplicantFeatures]] = {}
@@ -216,19 +209,11 @@ def by_competition(rows) -> dict[str, list[ApplicantFeatures]]:
     return grouped
 
 
-def by_gender(rows) -> tuple[tuple[str, list], tuple[str, list]]:
-    """The rows of female and of male applicants, as ``(("female", rows),
-    ("male", rows))``: the gender split of the bias and correlation tables.
-    """
-    return (("female", [r for r in rows if r.female]),
-            ("male", [r for r in rows if not r.female]))
-
-
 def build_design(rows, base_columns=None, interactions: bool = True) -> DesignMatrix:
     """Regression design from feature rows: intercept, base regressors, and
     (optionally) the interaction of each non-gender regressor with gender.
-    Rows cluster by competition.
-    """
+    Rows cluster by competition. The one read of the rows into columns: the
+    report tables read the fit's design."""
     if base_columns is None:
         base_columns = list(FEATURES)
     unknown = [c for c in base_columns if c not in FEATURES]
@@ -237,7 +222,8 @@ def build_design(rows, base_columns=None, interactions: bool = True) -> DesignMa
     if interactions and "G" not in base_columns:
         raise ConfigError("interactions require the gender column")
     n = len(rows)
-    values = feature_arrays(rows)
+    values = {code: np.array([getattr(r, attr) for r in rows], dtype=float)
+              for code, attr in {"E": "won", **FEATURES}.items()}
     if interactions:
         names = ["const", "G", *(name for c in base_columns if c != "G"
                                  for name in (c, f"G*{c}"))]

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-from .features import FEATURES, build_design, by_gender, feature_arrays
-from .stats import RegressionResult, adjust_family, bonferroni, pearson, vif
+from .features import FEATURES
+from .stats import DesignMatrix, RegressionResult, adjust_family, bonferroni, pearson, vif
 
 SIGNIFICANCE_LEGEND = (
     "Statistical significance: *p-value <0.10, **p-value <0.05, "
@@ -159,6 +159,17 @@ def render_bias_table(twin: dict, one_sided: bool = False) -> str:
 # descriptive statistics by gender (winners / non-winners / total)
 # ---------------------------------------------------------------------------
 
+def _by_gender(design: DesignMatrix) -> list[tuple[str, DesignMatrix]]:
+    """The fit's design split by ``G``: ``[("female", part), ("male", part)]``,
+    each part a design on the intercept and ``REGRESSOR_VARS``, in row order."""
+    names = ["const", *REGRESSOR_VARS]
+    idx = [design.columns.index(c) for c in names]
+    female = design.X[:, design.columns.index("G")] != 0
+    return [(label, DesignMatrix(design.X[np.ix_(mask, idx)], design.y[mask],
+                                 design.clusters[mask], names))
+            for label, mask in (("female", female), ("male", ~female))]
+
+
 def _group_stats(values: np.ndarray) -> dict:
     if not values.size:
         return {"n": 0, "avg": None, "sd": None, "max": None}
@@ -170,13 +181,12 @@ def _group_stats(values: np.ndarray) -> dict:
     }
 
 
-def descriptives_dict(rows) -> dict:
-    values = feature_arrays(rows)
-    won = values["E"] != 0
+def descriptives_dict(design: DesignMatrix) -> dict:
     twin: dict = {}
-    for label, gender in (("female", values["G"] != 0), ("male", values["G"] == 0)):
-        groups = {"winners": gender & won, "non_winners": gender & ~won,
-                  "total": gender}
+    for label, part in _by_gender(design):
+        values = dict(zip(part.columns, part.X.T))
+        won = part.y != 0
+        groups = {"winners": won, "non_winners": ~won, "total": np.ones_like(won)}
         twin[label] = {
             **{f"n_{group}": int(mask.sum()) for group, mask in groups.items()},
             "variables": {var: {group: _group_stats(values[var][mask])
@@ -214,10 +224,10 @@ def render_descriptives(twin: dict) -> str:
 # correlations among regressors plus VIF, by gender
 # ---------------------------------------------------------------------------
 
-def correlations_dict(rows) -> dict:
+def correlations_dict(design: DesignMatrix) -> dict:
     twin: dict = {"variables": CORRELATION_VARS}
-    for label, subset in by_gender(rows):
-        values = feature_arrays(subset)
+    for label, part in _by_gender(design):
+        values = {"E": part.y, **dict(zip(part.columns, part.X.T))}
         pairs: dict[str, dict | None] = {}
         for i, a in enumerate(CORRELATION_VARS):
             for b in CORRELATION_VARS[i + 1:]:
@@ -229,12 +239,10 @@ def correlations_dict(rows) -> dict:
                 except NumericError:
                     pairs[key] = None
         m = adjust_family(pairs.values(), "p", "p_adj")
-        block = {"n": len(subset), "n_tests": m, "pairs": pairs,
+        block = {"n": part.n_obs, "n_tests": m, "pairs": pairs,
                  "vif": None, "vif_average": None, "vif_note": None}
         try:
-            design = build_design(subset, base_columns=REGRESSOR_VARS,
-                                  interactions=False)
-            per_column, average = vif(design)
+            per_column, average = vif(part)
             block["vif"] = per_column
             block["vif_average"] = average
         except NumericError as exc:

@@ -105,12 +105,18 @@ def test_gen_same_seed_identical_files(tmp_path, capsys):
 
 
 def test_missing_input_path_is_data_error(tmp_path, capsys):
-    missing = tmp_path / "nowhere"
-    code = main(["score", "--input-dir", str(missing),
-                 "--out-dir", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "nowhere" in err
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write_corpus(Corpus(), corpus_dir)
+    (corpus_dir / "taxonomy.csv").unlink()
+    (corpus_dir / "taxonomy.csv").mkdir()  # there, but not readable as a file
+    for input_dir, named in ((tmp_path / "nowhere", "nowhere"),
+                             (corpus_dir, str(corpus_dir / "taxonomy.csv"))):
+        code = main(["score", "--input-dir", str(input_dir),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert named in err
 
 
 def test_all_male_corpus_is_rank_deficient(tmp_path, capsys):
@@ -166,7 +172,18 @@ def test_bad_flags_exit_config(tmp_path, capsys):
     for command in ("regress", "report"):  # clustering is always by competition
         assert main([command, "--input-dir", str(tmp_path),
                      "--out-dir", str(tmp_path), "--clusters", "competition"]) == 3
+    corpus_dir = tmp_path / "corpus"
+    assert run_gen(corpus_dir) == 0
+    out_file = tmp_path / "out_file"
+    out_file.write_bytes(b"kept\n")
     capsys.readouterr()
+    # an --out-dir that is a file, or under one, is refused before any work,
+    # and the file is left as it is
+    for command in (["gen", *GEN_SMALL], ["report", "--input-dir", str(corpus_dir)]):
+        for out_dir in (out_file, out_file / "sub"):
+            assert main([*command, "--out-dir", str(out_dir)]) == 3
+            assert str(out_file) in capsys.readouterr().err
+            assert out_file.read_bytes() == b"kept\n"
 
 
 def test_gen_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch,

@@ -11,6 +11,11 @@ applicants by a latent score that mixes the merit percentile with the
 connection features under configurable weights plus Gaussian noise. The
 merit-only winner set, the selected set, and an injected flag (the two sets
 differ) are recorded per competition as ground truth.
+
+The bounded draws (``integers``, ``choice`` without replacement) run numpy's
+own algorithms on the bit generator's ``next_uint32``, so the bytes rest on
+numpy's PCG64 ``Generator`` algorithms; ``tests/test_synthgen.py`` fails by
+name if a numpy release changes them.
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ def validate_config(cfg: GenConfig) -> None:
     def bad(message: str):
         raise InfeasibleConfig(message)
 
+    if cfg.seed < 0:
+        bad(f"seed must be >= 0, got {cfg.seed}")
     if cfg.n_sds < 1:
         bad(f"n_sds must be >= 1, got {cfg.n_sds}")
     if cfg.n_universities < 1:
@@ -176,10 +183,46 @@ def _nth_free(k: int, taken: list[int]) -> int:
     return k
 
 
+def _bounded_draws(rng: np.random.Generator):
+    """``integers(lo, hi)`` and ``sample(n, k)``: ``int(rng.integers(lo, hi))``
+    and ``sorted(rng.choice(n, k, replace=False))`` from the same draws, made
+    by numpy's algorithms on ``next_uint32``, whose half-word buffer ``rng``'s
+    own methods share, so the calls interleave with theirs."""
+    bits = rng.bit_generator.ctypes
+    next32, state = bits.next_uint32, bits.state
+
+    def integers(lo: int, hi: int) -> int:
+        n = hi - lo
+        if not 1 < n <= 0x100000000:  # numpy's ValueError, no-draw or 64-bit path
+            return int(rng.integers(lo, hi))
+        # Lemire's multiply-and-reject: the high word of an unbiased product
+        m = next32(state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next32(state) * n
+        return lo + (m >> 32)
+
+    def sample(n: int, k: int) -> list[int]:
+        if not 0 <= k <= n or n > 10000 and k > n // 50:  # ValueError, tail shuffle
+            return sorted(rng.choice(n, k, replace=False).tolist())
+        picked: set[int] = set()
+        for j in range(n - k, n):  # Floyd's: a draw from [0, j], else j itself
+            v = integers(0, j + 1)
+            picked.add(j if v in picked else v)
+        for i in range(k - 1, 0, -1):  # the draws of choice's shuffle, whose
+            integers(0, i + 1)         # order sorting discards
+        return sorted(picked)
+
+    return integers, sample
+
+
 def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     """Build a corpus plus its ground truth; deterministic in cfg.seed."""
     validate_config(cfg)
     rng = np.random.default_rng(cfg.seed)
+    integers, sample = _bounded_draws(rng)
+    random, poisson, gamma, shuffle = rng.random, rng.poisson, rng.gamma, rng.shuffle
 
     corpus = Corpus(productivity_window=cfg.productivity_window,
                     collaboration_window=cfg.collaboration_window)
@@ -192,7 +235,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
         sds_id = f"S{i + 1:02d}"
         sds_ids.append(sds_id)
         convention = (Convention.CONTRIBUTION
-                      if rng.random() < CONTRIBUTION_SHARE
+                      if random() < CONTRIBUTION_SHARE
                       else Convention.ALPHABETICAL)
         corpus.taxonomy[sds_id] = SdsRecord(sds_id, f"A{i // 2 + 1:02d}", convention)
 
@@ -208,27 +251,27 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
             rid = f"r-{sds_id}-{j + 1:03d}"
             if j < n_full:
                 rank = Rank.FULL
-                start = int(rng.integers(1980, 1996))
+                start = integers(1980, 1996)
             elif j < n_full + n_aso:
                 rank = Rank.ASSOCIATE
-                start = int(rng.integers(1985, 2001))
+                start = integers(1985, 2001)
             else:
                 rank = Rank.ASSISTANT
                 # the first few assistants are guaranteed eligible so every
                 # competition can field a winner and a comparison loser
                 if j < n_full + n_aso + guaranteed_eligible:
-                    start = int(rng.integers(1996, LATEST_ELIGIBLE_START + 1))
+                    start = integers(1996, LATEST_ELIGIBLE_START + 1)
                 else:
-                    start = int(rng.integers(1996, COMPETITION_YEAR))
-            gender = Gender.FEMALE if rng.random() < cfg.female_share else Gender.MALE
-            surname = f"fam{int(name_cdf.searchsorted(rng.random(), side='right')):03d}"
-            base_uni = universities[int(rng.integers(0, cfg.n_universities))]
+                    start = integers(1996, COMPETITION_YEAR)
+            gender = Gender.FEMALE if random() < cfg.female_share else Gender.MALE
+            surname = f"fam{int(name_cdf.searchsorted(random(), side='right')):03d}"
+            base_uni = universities[integers(0, cfg.n_universities)]
             moves: tuple[tuple[int, str, str], ...] = ()
-            if cfg.n_universities > 1 and rng.random() < cfg.mobility_rate:
+            if cfg.n_universities > 1 and random() < cfg.mobility_rate:
                 first_possible = max(start, year_lo) + 1
                 if first_possible <= year_hi:
-                    switch = int(rng.integers(first_possible, year_hi + 1))
-                    offset = int(rng.integers(1, cfg.n_universities))
+                    switch = integers(first_possible, year_hi + 1)
+                    offset = integers(1, cfg.n_universities)
                     new_uni = universities[
                         (universities.index(base_uni) + offset) % cfg.n_universities]
                     moves = tuple((y, new_uni, sds_id)
@@ -265,42 +308,40 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
             researcher = corpus.researchers[rid]
             full_pool = [f for f in fulls[sds_id] if f != rid]
             for year in range(max(year_lo, researcher.career_start_year), year_hi + 1):
-                for _ in range(int(rng.poisson(PUBLICATION_INTENSITY))):
+                for _ in range(int(poisson(PUBLICATION_INTENSITY))):
                     pub_counter += 1
                     authors = [rid]
-                    if rng.random() < COAUTHOR_FULL_RATE:
-                        take = min(len(full_pool), int(rng.integers(1, 3)))
+                    if random() < COAUTHOR_FULL_RATE:
+                        take = min(len(full_pool), integers(1, 3))
                         if take:
-                            picks = rng.choice(len(full_pool), size=take, replace=False)
-                            authors.extend(full_pool[p] for p in sorted(picks))
-                    if rng.random() < COAUTHOR_PEER_RATE:
+                            authors.extend(full_pool[p] for p in sample(len(full_pool), take))
+                    if random() < COAUTHOR_PEER_RATE:
                         # every author so far is a distinct peer of this field
                         n_free = len(field_peers) - len(authors)
                         if n_free:
-                            k = int(rng.integers(0, n_free))
+                            k = integers(0, n_free)
                             authors.append(field_peers[
                                 _nth_free(k, [place[a] for a in authors])])
-                    for _ in range(int(rng.integers(0, 4))):
+                    for _ in range(integers(0, 4)):
                         ext_counter += 1
                         authors.append(f"x{ext_counter:05d}")
                     # the draws and order of indexing by rng.permutation
-                    rng.shuffle(authors)
+                    shuffle(authors)
                     byline = []
                     for author in authors:
                         known = byline_entries.get(author)
                         if known is not None:
                             byline.append(known[year - year_lo])
                         else:
-                            uni = (None if rng.random() < 0.5 else
-                                   universities[int(rng.integers(0, cfg.n_universities))])
+                            uni = (None if random() < 0.5 else
+                                   universities[integers(0, cfg.n_universities)])
                             byline.append(BylineEntry(author, uni))
-                    rate = rng.gamma(CITATION_DISPERSION,
-                                     CITATION_MEAN / CITATION_DISPERSION)
+                    rate = gamma(CITATION_DISPERSION, CITATION_MEAN / CITATION_DISPERSION)
                     pid = f"p{pub_counter:06d}"
                     corpus.publications[pid] = Publication(
                         id=pid, year=year,
-                        subject_category_id=categories[int(rng.integers(1, 3)) - 1],
-                        citations=int(rng.poisson(rate)), byline=byline)
+                        subject_category_id=categories[integers(1, 3) - 1],
+                        citations=int(poisson(rate)), byline=byline)
 
     # competitions, provisional (winners assigned after feature extraction)
     # validate_config guarantees 5 full professors (a committee) and
@@ -318,24 +359,21 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                 local_fulls.setdefault(affiliation[0], []).append(f)
         for c in range(cfg.competitions_per_sds):
             comp_id = f"c-{sds_id}-{c + 1:02d}"
-            comp_uni = universities[int(rng.integers(0, cfg.n_universities))]
+            comp_uni = universities[integers(0, cfg.n_universities)]
             # the president comes from the hiring university when it has one
             president_pool = local_fulls.get(comp_uni) or pool
-            president = president_pool[int(rng.integers(0, len(president_pool)))]
+            president = president_pool[integers(0, len(president_pool))]
             rest = [f for f in pool if f != president]
-            picks = rng.choice(len(rest), size=4, replace=False)
-            members = [rest[p] for p in sorted(picks)]
+            members = [rest[p] for p in sample(len(rest), 4)]
 
             n_app = min(cfg.applicants_per_competition, len(assistants[sds_id]))
             n_elig = min(len(eligible_pool),
                          max(guaranteed_eligible, round(0.75 * n_app)))
-            picks = rng.choice(len(eligible_pool), size=n_elig, replace=False)
-            applicants = [eligible_pool[p] for p in sorted(picks)]
+            applicants = [eligible_pool[p] for p in sample(len(eligible_pool), n_elig)]
             leftover = [a for a in assistants[sds_id] if a not in applicants]
             extra = min(n_app - n_elig, len(leftover))
             if extra > 0:
-                picks = rng.choice(len(leftover), size=extra, replace=False)
-                applicants.extend(leftover[p] for p in sorted(picks))
+                applicants.extend(leftover[p] for p in sample(len(leftover), extra))
             corpus.competitions[comp_id] = Competition(
                 id=comp_id, sds_id=sds_id, university_id=comp_uni,
                 year=COMPETITION_YEAR, president=president,

@@ -162,6 +162,11 @@ def test_bad_flags_exit_config(tmp_path, capsys):
     assert main(["frobnicate"]) == 3
     assert main([]) == 3
     assert main(["gen"]) == 3  # --out-dir is required
+    capsys.readouterr()
+    # numpy takes no negative seed; it is refused before any work
+    assert main(["gen", "--out-dir", str(tmp_path / "neg"), "--seed", "-1"]) == 3
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
     assert main(["score", "--input-dir", str(tmp_path),
                  "--out-dir", str(tmp_path), "--window-fss", "bogus"]) == 3
     for threshold in ("0", "nan", "inf"):  # a bias band is finite and > 0

@@ -1,7 +1,12 @@
 """Tests for the synthetic corpus generator."""
 
+import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +22,7 @@ from concorso.scoring import score_corpus
 from concorso.synthgen import (
     COMPETITION_YEAR,
     GenConfig,
+    _bounded_draws,
     _nth_free,
     _zipf_cdf,
     LatentWeights,
@@ -42,6 +48,27 @@ def test_same_seed_byte_identical(tmp_path):
     for name in CORPUS_FILES:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
+
+def test_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # the generator builds sets (a researcher's universities, a sample's
+    # picks); their iteration order must not reach a byte. Each run is a
+    # fresh interpreter, since PYTHONHASHSEED is read at start-up.
+    runs = {}
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        runs[hash_seed] = (out, subprocess.Popen(
+            [sys.executable, "-m", "concorso.cli", "gen", "--out-dir", str(out),
+             "--seed", "1", "--n-sds", "2", "--researchers-per-sds", "14",
+             "--competitions-per-sds", "2", "--applicants-per-competition", "5",
+             "--mobility-rate", "0.5", "--w-cp", "6", "--noise-sd", "8"],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            stdout=subprocess.DEVNULL))
+    digests = []
+    for out, proc in runs.values():
+        assert proc.wait() == 0
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in CORPUS_FILES})
+    assert digests[0] == digests[1]
 
 def test_different_seeds_differ(tmp_path):
     d1 = tmp_path / "a"
@@ -211,6 +238,7 @@ def test_ground_truth_file_format(tmp_path):
 
 def test_infeasible_configs_rejected():
     cases = [
+        dict(seed=-1),                        # numpy seeds are non-negative
         dict(researchers_per_sds=0),
         dict(researchers_per_sds=6),          # no assistants left
         # 2 assistants: enough for one winner, not for two plus a non-winner
@@ -328,8 +356,10 @@ def test_nth_free_equals_filtered_list_pick(n, data):
 
 # The generator draws a surname by searching _zipf_cdf and orders a byline
 # with a list shuffle, in place of Generator.choice(p=...) and
-# Generator.permutation. The output bytes rest on these being the same draws;
-# a numpy release that changes either fails here by name.
+# Generator.permutation, and makes its bounded draws with _bounded_draws, in
+# place of Generator.integers and Generator.choice(replace=False). The output
+# bytes rest on these being the same draws; a numpy release that changes
+# either fails here by name.
 
 @pytest.mark.parametrize("pool", [1, 2, 40])
 def test_surname_cdf_search_draws_what_choice_draws(pool):
@@ -355,3 +385,62 @@ def test_list_shuffle_draws_what_permutation_draws(n):
             fast.shuffle(order)
             assert order == ref.permutation(n).tolist()
             assert fast.random() == ref.random()
+
+
+# hi - lo of 1 (no draw), powers of two, other sizes, 2**32 and past it;
+# 2**30 + 1 and 2**32 // 3 + 1 reject about 1 draw in 4 and 1 in 3
+BOUNDS = [(0, 1), (7, 8), (0, 2), (1, 3), (0, 3), (0, 4), (1980, 1996),
+          (0, 40), (-5, 200), (0, 2**16), (0, 2**16 + 1), (0, 1000003),
+          (0, 2**30 + 1), (0, 2**32 // 3 + 1), (0, 2**31 + 1),
+          (3, 3 + 3 * 2**30), (0, 2**32 - 1), (0, 2**32), (-9, 2**32 - 9),
+          (0, 2**32 + 1), (0, 2**40)]
+# k = 0, k = n, Floyd's loop past n = 10000, and numpy's tail-shuffle branch
+# (n > 10000 and k > n // 50) on either side of its edge
+SAMPLES = [(0, 0), (1, 0), (12000, 0), (1, 1), (2, 2), (3, 1), (7, 2),
+           (39, 4), (40, 30), (500, 300), (20000, 3), (20000, 400),
+           (20000, 401), (10001, 10001)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bounded_draws_draw_what_integers_and_choice_draw(seed):
+    # each call is checked against numpy's on a twin generator, among
+    # numpy's own draws, so the two streams are shown to stay in step
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    integers, sample = _bounded_draws(fast)
+    plan = random.Random(seed)
+    for _ in range(300):
+        op = plan.randrange(8)
+        if op == 0:
+            lo, hi = plan.choice(BOUNDS)
+            assert integers(lo, hi) == int(ref.integers(lo, hi))
+        elif op == 1:
+            n, k = plan.choice(SAMPLES)
+            assert sample(n, k) == sorted(ref.choice(n, k, replace=False))
+        elif op == 2:
+            assert fast.random() == ref.random()
+        elif op == 3:
+            assert fast.poisson(1.2) == ref.poisson(1.2)
+        elif op == 4:
+            assert fast.gamma(1.0, 4.0) == ref.gamma(1.0, 4.0)
+        elif op == 5:
+            n = plan.randrange(1, 8)
+            mine, theirs = list(range(n)), list(range(n))
+            fast.shuffle(mine)
+            ref.shuffle(theirs)
+            assert mine == theirs
+        elif op == 6:
+            lo, hi = plan.choice(BOUNDS)
+            assert fast.integers(lo, hi) == ref.integers(lo, hi)
+        else:
+            assert fast.normal(0.0, 8.0) == ref.normal(0.0, 8.0)
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_bounded_draws_raise_what_numpy_raises():
+    integers, sample = _bounded_draws(np.random.default_rng(0))
+    for lo, hi in ((3, 3), (3, 2), (0, 2**64)):
+        with pytest.raises(ValueError):
+            integers(lo, hi)
+    for n, k in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            sample(n, k)

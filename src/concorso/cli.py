@@ -284,8 +284,10 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        # checked before any work: mkdir fails only once the outputs are ready
-        existing = next(p for p in (args.out_dir, *args.out_dir.parents) if p.exists())
+        # checked before any work: mkdir fails only once the outputs are ready;
+        # a dangling symbolic link exists, though not as a directory
+        existing = next(p for p in (args.out_dir, *args.out_dir.parents)
+                        if p.exists() or p.is_symlink())
         if not existing.is_dir():
             raise ConfigError(f"--out-dir {args.out_dir}: {existing} is not a directory")
         return args.func(args)

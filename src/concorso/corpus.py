@@ -268,14 +268,21 @@ def _csv_rows(path: Path, columns: list[str]):
                                   f"invalid CSV: {exc}")
 
 
+def _new_id(value: str, seen: dict, entity: str, path, line_no: int,
+            name: str = "id") -> str:
+    """``value``, the id of a record of ``entity`` read from field ``name``:
+    a MalformedRecord when it is empty, a DuplicateId when ``seen`` holds it."""
+    if not value:
+        raise MalformedRecord(path, line_no, name, "empty id")
+    if value in seen:
+        raise DuplicateId(entity, value)
+    return value
+
+
 def _load_taxonomy(path: Path) -> dict[str, SdsRecord]:
     taxonomy: dict[str, SdsRecord] = {}
     for line, row in _csv_rows(path, TAXONOMY_COLUMNS):
-        sds_id = row["sds_id"].strip()
-        if not sds_id:
-            raise MalformedRecord(path, line, "sds_id", "empty id")
-        if sds_id in taxonomy:
-            raise DuplicateId("sds", sds_id)
+        sds_id = _new_id(row["sds_id"].strip(), taxonomy, "sds", path, line, "sds_id")
         convention = _parse_enum(Convention, row, "byline_convention", path, line)
         uda_id = row["uda_id"].strip()
         if not uda_id:  # the audit keys its per-UDA rows by it
@@ -309,11 +316,7 @@ def _parse_affiliations(raw: str, path, line_no: int) -> tuple[tuple[int, str, s
 def _load_researchers(path: Path) -> dict[str, Researcher]:
     researchers: dict[str, Researcher] = {}
     for line, row in _csv_rows(path, RESEARCHER_COLUMNS):
-        rid = row["id"].strip()
-        if not rid:
-            raise MalformedRecord(path, line, "id", "empty id")
-        if rid in researchers:
-            raise DuplicateId("researcher", rid)
+        rid = _new_id(row["id"].strip(), researchers, "researcher", path, line)
         gender = _parse_enum(Gender, row, "gender", path, line)
         rank = _parse_enum(Rank, row, "rank", path, line)
         for name in ("family_name", "university_id"):  # blanks would match each other
@@ -350,10 +353,10 @@ _KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
 
 
 def _jsonl_records(path: Path, fields: dict[str, type]):
-    """(line, record) for each nonblank line whose record has a nonempty
-    ``id`` and each field of ``fields`` of exactly its type (a bool is not
-    an int); a list other than ``byline`` holds strings, and the publication
-    loader checks the byline entries."""
+    """(line, record) for each nonblank line whose record has each field of
+    ``fields`` of exactly its type (a bool is not an int); a list other than
+    ``byline`` holds strings. Each loader checks the ``id`` (``_new_id``), and
+    the publication loader checks the byline entries."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -372,8 +375,6 @@ def _jsonl_records(path: Path, fields: dict[str, type]):
                         else f"expected {_KIND_NAMES[kind]}, got {value!r}")
                 if kind is list and name != "byline" and not all(type(v) is str for v in value):
                     raise MalformedRecord(path, line_no, name, "expected a list of strings")
-            if not record["id"]:
-                raise MalformedRecord(path, line_no, "id", "empty id")
             yield line_no, record
 
 
@@ -381,9 +382,7 @@ def _load_publications(path: Path) -> dict[str, Publication]:
     publications: dict[str, Publication] = {}
     entries: dict[tuple[str | None, str | None], BylineEntry] = {}
     for line_no, record in _jsonl_records(path, PUBLICATION_FIELDS):
-        pid = record["id"]
-        if pid in publications:
-            raise DuplicateId("publication", pid)
+        pid = _new_id(record["id"], publications, "publication", path, line_no)
         byline = []
         for entry in record["byline"]:
             if type(entry) is not dict or "author" not in entry or "university" not in entry:
@@ -403,10 +402,8 @@ def _load_publications(path: Path) -> dict[str, Publication]:
 
 def _load_competitions(path: Path) -> dict[str, Competition]:
     competitions: dict[str, Competition] = {}
-    for _, record in _jsonl_records(path, COMPETITION_FIELDS):
-        cid = record["id"]
-        if cid in competitions:
-            raise DuplicateId("competition", cid)
+    for line_no, record in _jsonl_records(path, COMPETITION_FIELDS):
+        cid = _new_id(record["id"], competitions, "competition", path, line_no)
         competitions[cid] = Competition(**{attr: record[name] for name, attr
                                            in COMPETITION_ATTRIBUTES.items()})
     return competitions
@@ -414,7 +411,8 @@ def _load_competitions(path: Path) -> dict[str, Competition]:
 
 def _load_utf8(loader, path: Path):
     """``loader(path)``, with bytes that are not UTF-8 reported by line and a
-    path that cannot be read as a file (a directory, say) as a DataError.
+    path that cannot be read as a file (missing, or a directory, say) as a
+    DataError that names it: the one check that an input file exists.
 
     The text decoder fails a whole chunk ahead of the records parsed so far,
     so only then is the file read again, line by line in binary, for the
@@ -442,17 +440,14 @@ def load_corpus(
 ) -> Corpus:
     """Load and cross-link a corpus from the four input files of a directory.
 
-    Raises MalformedRecord (also for bytes that are not UTF-8 and for
-    unreadable CSV), DuplicateId, or DanglingReference. Unresolved
-    committee and taxonomy references are collected across the whole corpus
-    and reported together rather than one at a time. Invariant violations
-    that are data (not parse failures) are left to ``validate_corpus``.
+    Raises DataError for an input file that is missing or cannot be read,
+    MalformedRecord (also for bytes that are not UTF-8 and for unreadable
+    CSV), DuplicateId, or DanglingReference. Unresolved committee and
+    taxonomy references are collected across the whole corpus and reported
+    together rather than one at a time. Invariant violations that are data
+    (not parse failures) are left to ``validate_corpus``.
     """
     paths = CorpusPaths.in_dir(directory)
-    for p in (paths.researchers, paths.publications, paths.competitions, paths.taxonomy):
-        if not p.exists():
-            raise DataError(f"input file not found: {p}")
-
     taxonomy = _load_utf8(_load_taxonomy, paths.taxonomy)
     researchers = _load_utf8(_load_researchers, paths.researchers)
     publications = _load_utf8(_load_publications, paths.publications)

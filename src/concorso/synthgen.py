@@ -117,43 +117,39 @@ def _rank_split(n: int) -> tuple[int, int, int]:
     return n_full, n_aso, n - n_full - n_aso
 
 
+# the bounds of the numeric GenConfig fields: (name, low, high or None)
+CONFIG_BOUNDS = (("seed", 0, None), ("n_sds", 1, None), ("n_universities", 1, None),
+                 ("researchers_per_sds", 1, None), ("surname_pool", 1, None),
+                 ("competitions_per_sds", 1, None), ("female_share", 0, 1),
+                 ("mobility_rate", 0, 1))
+
+
 def validate_config(cfg: GenConfig) -> None:
     def bad(message: str):
         raise InfeasibleConfig(message)
 
-    if cfg.seed < 0:
-        bad(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.n_sds < 1:
-        bad(f"n_sds must be >= 1, got {cfg.n_sds}")
-    if cfg.n_universities < 1:
-        bad(f"n_universities must be >= 1, got {cfg.n_universities}")
-    if cfg.researchers_per_sds < 1:
-        bad(f"researchers_per_sds must be >= 1, got {cfg.researchers_per_sds}")
+    for name, low, high in CONFIG_BOUNDS:
+        value = getattr(cfg, name)
+        if not (low <= value if high is None else low <= value <= high):  # NaN fails
+            rule = f"be >= {low}" if high is None else f"lie in [{low},{high}]"
+            bad(f"{name} must {rule}, got {value}")
     n_full, n_aso, n_ast = _rank_split(cfg.researchers_per_sds)
     if n_ast < cfg.winners_per_competition + 1:  # winners and a non-winner
         bad(f"researchers_per_sds={cfg.researchers_per_sds} leaves "
             f"{max(n_ast, 0)} assistant professors after seating {n_full} full "
             f"and {n_aso} associate professors; need at least "
             f"{cfg.winners_per_competition + 1}")
-    if not 0.0 <= cfg.female_share <= 1.0:
-        bad(f"female_share must lie in [0,1], got {cfg.female_share}")
-    if cfg.surname_pool < 1:
-        bad("surname_pool must be >= 1")
     if cfg.winners_per_competition not in (1, 2):
         bad(f"winners_per_competition must be 1 or 2, "
             f"got {cfg.winners_per_competition}")
     if cfg.applicants_per_competition < cfg.winners_per_competition + 1:
         bad("applicants_per_competition must exceed winners_per_competition")
-    if cfg.competitions_per_sds < 1:
-        bad("competitions_per_sds must be >= 1")
-    if not 0.0 <= cfg.mobility_rate <= 1.0:
-        bad("mobility_rate must lie in [0,1]")
     for weight in fields(LatentWeights):
         value = getattr(cfg.weights, weight.name)
         if not math.isfinite(value):
             bad(f"weights.{weight.name} must be finite, got {value}")
     if cfg.weights.noise_sd < 0:
-        bad("noise_sd must be >= 0")
+        bad(f"noise_sd must be >= 0, got {cfg.weights.noise_sd}")
     for window in (cfg.productivity_window, cfg.collaboration_window):
         if window[0] > window[1]:
             bad(f"window {window[0]}:{window[1]} is reversed")
@@ -230,36 +226,35 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     universities = [f"U{i + 1:02d}" for i in range(cfg.n_universities)]
     name_cdf = _zipf_cdf(cfg.surname_pool)
 
-    sds_ids = []
     for i in range(cfg.n_sds):
         sds_id = f"S{i + 1:02d}"
-        sds_ids.append(sds_id)
         convention = (Convention.CONTRIBUTION
                       if random() < CONTRIBUTION_SHARE
                       else Convention.ALPHABETICAL)
         corpus.taxonomy[sds_id] = SdsRecord(sds_id, f"A{i // 2 + 1:02d}", convention)
 
     n_full, n_aso, n_ast = _rank_split(cfg.researchers_per_sds)
+    n_senior = n_full + n_aso
     guaranteed_eligible = cfg.winners_per_competition + 1
 
-    fulls: dict[str, list[str]] = {s: [] for s in sds_ids}
-    assistants: dict[str, list[str]] = {s: [] for s in sds_ids}
-    peers: dict[str, list[str]] = {s: [] for s in sds_ids}
-
-    for sds_id in sds_ids:
-        for j in range(cfg.researchers_per_sds):
-            rid = f"r-{sds_id}-{j + 1:03d}"
+    # each field's researcher ids by index, so by rank: full professors
+    # (peers[:n_full]), associates, then assistants (peers[n_senior:])
+    peers: dict[str, list[str]] = {}
+    for sds_id in corpus.taxonomy:
+        peers[sds_id] = [f"r-{sds_id}-{j + 1:03d}"
+                         for j in range(cfg.researchers_per_sds)]
+        for j, rid in enumerate(peers[sds_id]):
             if j < n_full:
                 rank = Rank.FULL
                 start = integers(1980, 1996)
-            elif j < n_full + n_aso:
+            elif j < n_senior:
                 rank = Rank.ASSOCIATE
                 start = integers(1985, 2001)
             else:
                 rank = Rank.ASSISTANT
                 # the first few assistants are guaranteed eligible so every
                 # competition can field a winner and a comparison loser
-                if j < n_full + n_aso + guaranteed_eligible:
+                if j < n_senior + guaranteed_eligible:
                     start = integers(1996, LATEST_ELIGIBLE_START + 1)
                 else:
                     start = integers(1996, COMPETITION_YEAR)
@@ -276,17 +271,11 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
                         (universities.index(base_uni) + offset) % cfg.n_universities]
                     moves = tuple((y, new_uni, sds_id)
                                   for y in range(switch, year_hi + 1))
-            researcher = Researcher(
+            corpus.researchers[rid] = Researcher(
                 id=rid, gender=gender, family_name=surname,
                 university_id=base_uni, sds_id=sds_id, rank=rank,
                 career_start_year=start, career_end_year=None,
                 affiliations=moves)
-            corpus.researchers[rid] = researcher
-            peers[sds_id].append(rid)
-            if rank is Rank.FULL:
-                fulls[sds_id].append(rid)
-            elif rank is Rank.ASSISTANT:
-                assistants[sds_id].append(rid)
 
     # each researcher's byline entry per corpus year (base university outside
     # the career): one entry per university, shared by every byline
@@ -300,13 +289,12 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     # publications: per researcher-year Poisson counts with sampled coauthors
     pub_counter = 0
     ext_counter = 0
-    for sds_id in sds_ids:
-        field_peers = peers[sds_id]
+    for sds_id, field_peers in peers.items():
         place = {p: i for i, p in enumerate(field_peers)}
         categories = (f"{sds_id}:c1", f"{sds_id}:c2")
         for rid in field_peers:
             researcher = corpus.researchers[rid]
-            full_pool = [f for f in fulls[sds_id] if f != rid]
+            full_pool = [f for f in field_peers[:n_full] if f != rid]
             for year in range(max(year_lo, researcher.career_start_year), year_hi + 1):
                 for _ in range(int(poisson(PUBLICATION_INTENSITY))):
                     pub_counter += 1
@@ -346,11 +334,11 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
     # competitions, provisional (winners assigned after feature extraction)
     # validate_config guarantees 5 full professors (a committee) and
     # guaranteed_eligible eligible assistants per SDS
-    for sds_id in sds_ids:
-        eligible_pool = [a for a in assistants[sds_id]
+    for sds_id, field_peers in peers.items():
+        pool, assistants = field_peers[:n_full], field_peers[n_senior:]
+        eligible_pool = [a for a in assistants
                          if corpus.researchers[a].career_start_year
                          <= LATEST_ELIGIBLE_START]
-        pool = fulls[sds_id]
         # full professors by university in the competition year, in pool order
         local_fulls: dict[str, list[str]] = {}
         for f in pool:
@@ -366,11 +354,11 @@ def generate(cfg: GenConfig) -> tuple[Corpus, GroundTruth]:
             rest = [f for f in pool if f != president]
             members = [rest[p] for p in sample(len(rest), 4)]
 
-            n_app = min(cfg.applicants_per_competition, len(assistants[sds_id]))
+            n_app = min(cfg.applicants_per_competition, n_ast)
             n_elig = min(len(eligible_pool),
                          max(guaranteed_eligible, round(0.75 * n_app)))
             applicants = [eligible_pool[p] for p in sample(len(eligible_pool), n_elig)]
-            leftover = [a for a in assistants[sds_id] if a not in applicants]
+            leftover = [a for a in assistants if a not in applicants]
             extra = min(n_app - n_elig, len(leftover))
             if extra > 0:
                 applicants.extend(leftover[p] for p in sample(len(leftover), extra))

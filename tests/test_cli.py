@@ -189,6 +189,15 @@ def test_bad_flags_exit_config(tmp_path, capsys):
             assert main([*command, "--out-dir", str(out_dir)]) == 3
             assert str(out_file) in capsys.readouterr().err
             assert out_file.read_bytes() == b"kept\n"
+    # so is a dangling symbolic link, which Path.exists() calls missing
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    for command in (["gen", *GEN_SMALL], ["report", "--input-dir", str(corpus_dir)]):
+        for out_dir in (dangling, dangling / "sub"):
+            assert main([*command, "--out-dir", str(out_dir)]) == 3
+            assert (f"error: --out-dir {out_dir}: {dangling} is not a directory"
+                    in capsys.readouterr().err)
+            assert dangling.is_symlink() and not (tmp_path / "nowhere").exists()
 
 
 def test_gen_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch,

@@ -327,11 +327,14 @@ def test_bad_enum_value_message(tmp_path, name, row, message):
     assert str(err.value) == f"{tmp_path / name}:2: {message}"
 
 
-def test_missing_file_is_data_error(tmp_path):
+@pytest.mark.parametrize("name", ["researchers.csv", "publications.jsonl",
+                                  "competitions.jsonl", "taxonomy.csv"])
+def test_missing_file_is_data_error(tmp_path, name):
     write_inputs(tmp_path)
-    (tmp_path / "publications.jsonl").unlink()
-    with pytest.raises(DataError):
+    (tmp_path / name).unlink()
+    with pytest.raises(DataError, match="No such file") as err:
         load_corpus(tmp_path)
+    assert str(tmp_path / name) in str(err.value)
 
 
 @pytest.mark.parametrize("name, line", [

@@ -237,36 +237,43 @@ def test_ground_truth_file_format(tmp_path):
 
 
 def test_infeasible_configs_rejected():
+    # each config with the text its message must hold: the field, and the
+    # value where one is shown
     cases = [
-        dict(seed=-1),                        # numpy seeds are non-negative
-        dict(researchers_per_sds=0),
-        dict(researchers_per_sds=6),          # no assistants left
+        (dict(seed=-1), "seed must be >= 0, got -1"),  # numpy seeds are non-negative
+        (dict(researchers_per_sds=0), "researchers_per_sds must be >= 1, got 0"),
+        (dict(researchers_per_sds=6), "researchers_per_sds=6 leaves 0 assistant"),
         # 2 assistants: enough for one winner, not for two plus a non-winner
-        dict(researchers_per_sds=8, winners_per_competition=2),
-        dict(n_sds=0),
-        dict(n_universities=0),
-        dict(female_share=1.5),
-        dict(winners_per_competition=3),
-        dict(applicants_per_competition=1),
-        dict(competitions_per_sds=0),
-        dict(surname_pool=0),
-        dict(mobility_rate=2.0),
-        dict(productivity_window=(2008, 2004)),
-        dict(weights=LatentWeights(noise_sd=-1.0)),
-        dict(weights=LatentWeights(noise_sd=math.nan)),
-        dict(weights=LatentWeights(cp=math.nan)),
-        dict(weights=LatentWeights(merit=math.inf)),
-        dict(weights=LatentWeights(sp=-math.inf)),
+        (dict(researchers_per_sds=8, winners_per_competition=2),
+         "researchers_per_sds=8 leaves 2 assistant"),
+        (dict(n_sds=0), "n_sds must be >= 1, got 0"),
+        (dict(n_universities=0), "n_universities must be >= 1, got 0"),
+        (dict(female_share=1.5), "female_share must lie in [0,1], got 1.5"),
+        (dict(female_share=math.nan), "female_share must lie in [0,1], got nan"),
+        (dict(winners_per_competition=3), "winners_per_competition must be 1 or 2, got 3"),
+        (dict(applicants_per_competition=1), "applicants_per_competition must exceed"),
+        (dict(competitions_per_sds=0), "competitions_per_sds must be >= 1, got 0"),
+        (dict(surname_pool=0), "surname_pool must be >= 1, got 0"),
+        (dict(mobility_rate=2.0), "mobility_rate must lie in [0,1], got 2.0"),
+        (dict(mobility_rate=math.nan), "mobility_rate must lie in [0,1], got nan"),
+        (dict(productivity_window=(2008, 2004)), "window 2008:2004 is reversed"),
+        (dict(weights=LatentWeights(noise_sd=-1.0)), "noise_sd must be >= 0, got -1.0"),
+        (dict(weights=LatentWeights(noise_sd=math.nan)),
+         "weights.noise_sd must be finite, got nan"),
+        (dict(weights=LatentWeights(cp=math.nan)), "weights.cp must be finite, got nan"),
+        (dict(weights=LatentWeights(merit=math.inf)),
+         "weights.merit must be finite, got inf"),
+        (dict(weights=LatentWeights(sp=-math.inf)), "weights.sp must be finite, got -inf"),
         # eligible applicants start by 2005 and would have no score
-        dict(productivity_window=(1990, 1995)),
-        dict(productivity_window=(2000, 2004)),
+        (dict(productivity_window=(1990, 1995)), "productivity window ends 1995"),
+        (dict(productivity_window=(2000, 2004)), "productivity window ends 2004"),
     ]
-    for overrides in cases:
+    for overrides, text in cases:
         cfg = replace(GenConfig(seed=0), **overrides)
-        with pytest.raises(InfeasibleConfig):
-            validate_config(cfg)
-        with pytest.raises(InfeasibleConfig):
-            generate(cfg)
+        for check in (validate_config, generate):
+            with pytest.raises(InfeasibleConfig) as err:
+                check(cfg)
+            assert text in str(err.value)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)

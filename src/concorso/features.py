@@ -3,8 +3,10 @@
 An applicant is eligible when they are an assistant professor hired at least
 ``MIN_CAREER_YEARS`` before the competition; ``filter_eligible`` maps each
 competition to its eligible applicants, and ``extract_all`` gives a row to
-each of them. Which competitions a bias audit compares is read from those
-rows, by ``bias.aggregate_bias``.
+each of them. ``extract_features`` gives one competition's rows, as
+``extract_all`` does for a corpus that holds that competition alone. Which
+competitions a bias audit compares is read from the rows, by
+``bias.aggregate_bias``.
 
 For every eligible applicant of a competition the extractor produces the
 outcome flag plus the connection and similarity signals used by the bias
@@ -18,7 +20,7 @@ counts a year only when both were at the same university in the same SDS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,18 +71,14 @@ def normalize_family_name(name: str) -> str:
     return " ".join(name.split()).casefold()
 
 
-def _eligible(corpus: Corpus, comp: Competition) -> list[str]:
-    """A competition's eligible applicants, in application order: incumbent
-    assistant professors with at least ``MIN_CAREER_YEARS`` of seniority."""
-    return [a for a in comp.applicants
-            if (r := corpus.researchers.get(a)) is not None
-            and r.rank is Rank.ASSISTANT
-            and comp.year - r.career_start_year >= MIN_CAREER_YEARS]
-
-
 def filter_eligible(corpus: Corpus) -> dict[str, list[str]]:
-    """Each competition's eligible applicants, by competition id."""
-    return {comp_id: _eligible(corpus, comp)
+    """Each competition's eligible applicants in application order, by
+    competition id: incumbent assistant professors with at least
+    ``MIN_CAREER_YEARS`` of seniority."""
+    return {comp_id: [a for a in comp.applicants
+                      if (r := corpus.researchers.get(a)) is not None
+                      and r.rank is Rank.ASSISTANT
+                      and comp.year - r.career_start_year >= MIN_CAREER_YEARS]
             for comp_id, comp in sorted(corpus.competitions.items())}
 
 
@@ -90,13 +88,13 @@ class _Index:
     years, each cell 0 outside the career or else a code per (university,
     SDS), so two researchers share a place in a year when their cells are
     equal and nonzero; ``surnames``, the normalized family names of full
-    professors by (university, year) for the given years; and ``pub_ids``,
-    each roster researcher's window publication ids in corpus order without
-    repeats, as tuples (a fraction of a set's memory; a competition builds
-    sets for its committee only).
+    professors by (university, year) for the years of the corpus's
+    competitions; and ``pub_ids``, each roster researcher's window
+    publication ids in corpus order without repeats, as tuples (a fraction
+    of a set's memory; a competition builds sets for its committee only).
     """
 
-    def __init__(self, corpus: Corpus, years: set[int]) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
         lo, hi = corpus.collaboration_window
         codes: dict[tuple[str, str] | None, int] = {None: 0}
@@ -106,7 +104,7 @@ class _Index:
              for r in corpus.researchers.values()], dtype=np.int64)
         self.surnames: dict[tuple[str, int], set[str]] = {}
         full = [r for r in corpus.researchers.values() if r.rank is Rank.FULL]
-        for year in years:
+        for year in {comp.year for comp in corpus.competitions.values()}:
             for r in full:
                 affiliation = r.affiliation_in(year)
                 if affiliation is not None:
@@ -128,9 +126,11 @@ def extract_features(
     corpus: Corpus,
     scores: ScoreTable,
 ) -> list[ApplicantFeatures]:
-    """Feature rows for one competition's eligible applicants, sorted by id."""
-    return _competition_rows(comp, _Index(corpus, {comp.year}), scores,
-                             _eligible(corpus, comp))
+    """Feature rows for one competition's eligible applicants, sorted by id:
+    the rows ``extract_all`` gives for ``corpus`` holding ``comp`` alone.
+    Each call builds the index of the whole corpus, so a caller that needs
+    many competitions calls ``extract_all`` once instead."""
+    return extract_all(replace(corpus, competitions={comp.id: comp}), scores)
 
 
 def _competition_rows(comp: Competition, index: _Index, scores: ScoreTable,
@@ -193,7 +193,7 @@ def extract_all(
     """
     if eligible is None:
         eligible = filter_eligible(corpus)
-    index = _Index(corpus, {comp.year for comp in corpus.competitions.values()})
+    index = _Index(corpus)
     rows = []
     for comp_id in sorted(corpus.competitions):
         rows.extend(_competition_rows(corpus.competitions[comp_id], index,

@@ -121,22 +121,16 @@ def percentile_rank(values) -> list[float]:
     Ties share their average rank; a single-element cohort maps to 100.
     """
     n = len(values)
-    if n == 0:
-        return []
     if n == 1:
         return [100.0]
-    order = sorted(range(n), key=lambda i: values[i])
-    percentiles = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg_rank = (i + j) / 2 + 1  # 1-based mean rank of the tied run
-        for k in range(i, j + 1):
-            percentiles[order[k]] = 100.0 * (avg_rank - 1) / (n - 1)
-        i = j + 1
-    return percentiles
+    # each value's first and last 0-based position in sorted order; equal
+    # values (0.0 and -0.0 too) share one dict key, so one tie run
+    first: dict[float, int] = {}
+    last: dict[float, int] = {}
+    for position, value in enumerate(sorted(values)):
+        first.setdefault(value, position)
+        last[value] = position
+    return [100.0 * ((first[v] + last[v]) / 2) / (n - 1) for v in values]
 
 
 @dataclass

@@ -143,16 +143,18 @@ def validate_config(cfg: GenConfig) -> None:
         bad(f"winners_per_competition must be 1 or 2, "
             f"got {cfg.winners_per_competition}")
     if cfg.applicants_per_competition < cfg.winners_per_competition + 1:
-        bad("applicants_per_competition must exceed winners_per_competition")
+        bad(f"applicants_per_competition={cfg.applicants_per_competition} must "
+            f"exceed winners_per_competition={cfg.winners_per_competition}")
     for weight in fields(LatentWeights):
         value = getattr(cfg.weights, weight.name)
         if not math.isfinite(value):
             bad(f"weights.{weight.name} must be finite, got {value}")
     if cfg.weights.noise_sd < 0:
         bad(f"noise_sd must be >= 0, got {cfg.weights.noise_sd}")
-    for window in (cfg.productivity_window, cfg.collaboration_window):
+    for name in ("productivity_window", "collaboration_window"):
+        window = getattr(cfg, name)
         if window[0] > window[1]:
-            bad(f"window {window[0]}:{window[1]} is reversed")
+            bad(f"{name} {window[0]}:{window[1]} is reversed")
     # every eligible applicant starts by this year and needs a score
     if cfg.productivity_window[1] < LATEST_ELIGIBLE_START:
         bad(f"productivity window ends {cfg.productivity_window[1]}, before "

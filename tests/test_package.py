@@ -1,5 +1,6 @@
 """Tests for the package namespace: ``import concorso`` loads no submodule,
-and each public name imports its defining module on first use."""
+each public name imports its defining module on first use, and
+``concorso gen`` loads no scipy."""
 
 import importlib
 import subprocess
@@ -29,6 +30,15 @@ def test_loading_and_scoring_need_no_numpy():
                     "print(sorted(m for m in sys.modules if m.startswith('concorso.')),"
                     " 'numpy' in sys.modules)")
     assert loaded == "['concorso.corpus', 'concorso.errors', 'concorso.scoring'] False"
+
+
+def test_gen_loads_no_scipy(tmp_path):
+    # gen computes no p-value; scipy.special alone adds about 26 MB to its peak
+    argv = ["gen", "--out-dir", str(tmp_path), "--seed", "1", "--n-sds", "2",
+            "--researchers-per-sds", "14", "--competitions-per-sds", "2"]
+    loaded = _fresh(f"import concorso.cli\nassert concorso.cli.main({argv!r}) == 0\n"
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.splitlines()[-1] == "[]"
 
 
 def test_star_import_binds_every_public_name():

@@ -358,6 +358,25 @@ def test_percentile_matches_rankdata_oracle():
         assert ours == pytest.approx(list(expected), abs=1e-12)
 
 
+def test_percentile_bits_are_tie_run_midpoints():
+    # the detectors compare percentiles to thresholds, so the bits matter:
+    # each is 100 * ((i + j) / 2) / (n - 1) for its tie run [i, j] in sorted
+    # order, with 0.0 and -0.0 in one run and numpy float64 elements
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(0, 201))
+        values = list(rng.integers(-4, 5, n) / 4)
+        for k in np.flatnonzero(rng.random(n) < 0.2):
+            values[k] = np.float64(rng.choice([0.0, -0.0]))
+        ours = percentile_rank(values)
+        ordered = np.sort(np.array(values))
+        first = np.searchsorted(ordered, values, side="left").tolist()
+        last = (np.searchsorted(ordered, values, side="right") - 1).tolist()
+        expected = [100.0] if n == 1 else [
+            100.0 * ((i + j) / 2) / (n - 1) for i, j in zip(first, last)]
+        assert [float.hex(p) for p in ours] == [float.hex(e) for e in expected]
+
+
 def test_percentile_invariant_under_monotone_transform():
     rng = np.random.default_rng(5)
     values = list(np.round(rng.random(25) * 100, 1))

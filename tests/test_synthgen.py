@@ -251,12 +251,18 @@ def test_infeasible_configs_rejected():
         (dict(female_share=1.5), "female_share must lie in [0,1], got 1.5"),
         (dict(female_share=math.nan), "female_share must lie in [0,1], got nan"),
         (dict(winners_per_competition=3), "winners_per_competition must be 1 or 2, got 3"),
-        (dict(applicants_per_competition=1), "applicants_per_competition must exceed"),
+        (dict(applicants_per_competition=1),
+         "applicants_per_competition=1 must exceed winners_per_competition=1"),
+        (dict(applicants_per_competition=2, winners_per_competition=2),
+         "applicants_per_competition=2 must exceed winners_per_competition=2"),
         (dict(competitions_per_sds=0), "competitions_per_sds must be >= 1, got 0"),
         (dict(surname_pool=0), "surname_pool must be >= 1, got 0"),
         (dict(mobility_rate=2.0), "mobility_rate must lie in [0,1], got 2.0"),
         (dict(mobility_rate=math.nan), "mobility_rate must lie in [0,1], got nan"),
-        (dict(productivity_window=(2008, 2004)), "window 2008:2004 is reversed"),
+        (dict(productivity_window=(2008, 2004)),
+         "productivity_window 2008:2004 is reversed"),
+        (dict(collaboration_window=(2008, 2004)),
+         "collaboration_window 2008:2004 is reversed"),
         (dict(weights=LatentWeights(noise_sd=-1.0)), "noise_sd must be >= 0, got -1.0"),
         (dict(weights=LatentWeights(noise_sd=math.nan)),
          "weights.noise_sd must be finite, got nan"),

@@ -10,8 +10,12 @@ by at least the threshold, or when their raw score falls below the cohort
 median; the level measures the gap beyond the band against the best
 non-winner and can be negative when only the median condition fired.
 
-Threshold comparisons are non-strict; ties at the cohort median count as
-"not below" for the negative rule and "not under" for the positive rule.
+Threshold comparisons are non-strict on float gaps: a gap that equals the
+threshold in exact arithmetic can come out one ulp short, and then nothing is
+flagged (ROADMAP item 10; the strict xfail in tests/test_bias.py,
+``test_negative_flags_a_gap_equal_to_the_threshold_in_exact_arithmetic``).
+Ties at the cohort median count as "not below" for the negative rule and
+"not under" for the positive rule.
 """
 
 from __future__ import annotations

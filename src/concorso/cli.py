@@ -45,7 +45,6 @@ from .report import (
     render_regression,
 )
 from .scoring import (
-    ScoreTable,
     median_fss_by_sds,
     score_corpus,
     score_meta,
@@ -131,56 +130,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_score_stage(out_dir: Path, corpus: Corpus, table: ScoreTable) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_scores(table, corpus, out_dir / "scores.csv")
-    _write_twin(out_dir / "score_meta", score_meta(table))
-    print(f"scored {len(table.scores)} researchers over "
-          f"{table.window[0]}:{table.window[1]} "
-          f"({len(table.skipped)} skipped, no career overlap) "
-          f"-> {out_dir / 'scores.csv'}")
-
-
-def _write_audit_stage(args: argparse.Namespace, corpus: Corpus,
-                       table: ScoreTable, rows) -> None:
-    medians = median_fss_by_sds(table, corpus)
-    findings = detect_all(rows, corpus, medians, threshold=args.threshold)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_findings(findings, args.out_dir / "findings.csv")
-    twins = aggregate_bias(findings, rows, corpus,
-                           threshold=args.threshold, welch=args.welch)
-    for kind, twin in twins.items():
-        _write_twin(args.out_dir / f"bias_{kind.value}", twin,
-                    render_bias_table(twin, one_sided=args.one_sided))
-    n_audited = twins[BiasKind.NEGATIVE]["n_competitions"]
-    if not n_audited:
-        print("warning: no competition retained an eligible winner and "
-              "non-winner; tables are empty", file=sys.stderr)
-    print(f"audited {n_audited} competitions "
-          f"at threshold {args.threshold:g}: "
-          f"{twins[BiasKind.NEGATIVE]['n_findings']} negative and "
-          f"{twins[BiasKind.POSITIVE]['n_findings']} positive findings "
-          f"-> {args.out_dir / 'findings.csv'}")
-
-
-def _write_regress_stage(out_dir: Path, rows) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_features(rows, out_dir / "features.csv")
-
-    design = build_design(rows)
-    twin = descriptives_dict(design)
-    _write_twin(out_dir / "descriptives", twin, render_descriptives(twin))
-    twin = correlations_dict(design)
-    _write_twin(out_dir / "correlations", twin, render_correlations(twin))
-    result = fit_logit(design)
-    twin = regression_dict(result)
-    _write_twin(out_dir / "regression", twin, render_regression(twin))
-    print(f"fitted logistic model on {result.n_obs} applicant rows in "
-          f"{result.n_clusters} competition clusters "
-          f"(log likelihood {result.log_likelihood:.4f}) "
-          f"-> {out_dir / 'regression.txt'}")
-
-
 # The analysis subcommands: name -> (help, the stages it writes). Each takes
 # --input-dir, --out-dir and the window flags, and one that audits also takes
 # --threshold, --welch and --one-sided.
@@ -196,26 +145,63 @@ ANALYSES = {
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """score, audit, regress, or all three for report, in one pass: the
     corpus is loaded and scored once, and the feature rows that audit and
-    regress share are extracted once.
+    regress share are extracted once. The stages write in that order, so a
+    fit that fails (exit 2) leaves the score and audit files, features.csv
+    and the descriptives and correlations twins.
     """
     windows = _windows(args)
-    stages = args.stages
-    if "audit" in stages and not (math.isfinite(args.threshold)
-                                  and args.threshold > 0):
+    out_dir = args.out_dir
+    if "audit" in args.stages and not (math.isfinite(args.threshold)
+                                       and args.threshold > 0):
         raise ConfigError(
             f"threshold must be finite and > 0, got {args.threshold:g}")
     corpus = _load(args.input_dir, windows)
     table = score_corpus(corpus)
-    if "score" in stages:
-        _write_score_stage(args.out_dir, corpus, table)
-    if stages == ("score",):
+    if "score" in args.stages:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_scores(table, corpus, out_dir / "scores.csv")
+        _write_twin(out_dir / "score_meta", score_meta(table))
+        print(f"scored {len(table.scores)} researchers over "
+              f"{table.window[0]}:{table.window[1]} "
+              f"({len(table.skipped)} skipped, no career overlap) "
+              f"-> {out_dir / 'scores.csv'}")
+    if args.stages == ("score",):
         return 0
     rows = extract_all(corpus, table, filter_eligible(corpus))
     corpus.publications.clear()  # nothing reads them from here on: free them
-    if "audit" in stages:
-        _write_audit_stage(args, corpus, table, rows)
-    if "regress" in stages:
-        _write_regress_stage(args.out_dir, rows)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if "audit" in args.stages:
+        findings = detect_all(rows, corpus, median_fss_by_sds(table, corpus),
+                              threshold=args.threshold)
+        write_findings(findings, out_dir / "findings.csv")
+        twins = aggregate_bias(findings, rows, corpus,
+                               threshold=args.threshold, welch=args.welch)
+        for kind, twin in twins.items():
+            _write_twin(out_dir / f"bias_{kind.value}", twin,
+                        render_bias_table(twin, one_sided=args.one_sided))
+        n_audited = twins[BiasKind.NEGATIVE]["n_competitions"]
+        if not n_audited:
+            print("warning: no competition retained an eligible winner and "
+                  "non-winner; tables are empty", file=sys.stderr)
+        print(f"audited {n_audited} competitions "
+              f"at threshold {args.threshold:g}: "
+              f"{twins[BiasKind.NEGATIVE]['n_findings']} negative and "
+              f"{twins[BiasKind.POSITIVE]['n_findings']} positive findings "
+              f"-> {out_dir / 'findings.csv'}")
+    if "regress" in args.stages:
+        write_features(rows, out_dir / "features.csv")
+        design = build_design(rows)
+        twin = descriptives_dict(design)
+        _write_twin(out_dir / "descriptives", twin, render_descriptives(twin))
+        twin = correlations_dict(design)
+        _write_twin(out_dir / "correlations", twin, render_correlations(twin))
+        result = fit_logit(design)
+        twin = regression_dict(result)
+        _write_twin(out_dir / "regression", twin, render_regression(twin))
+        print(f"fitted logistic model on {result.n_obs} applicant rows in "
+              f"{result.n_clusters} competition clusters "
+              f"(log likelihood {result.log_likelihood:.4f}) "
+              f"-> {out_dir / 'regression.txt'}")
     return 0
 
 

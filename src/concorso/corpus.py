@@ -52,7 +52,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import DanglingReference, DataError, DuplicateId, MalformedRecord
+from .errors import ConfigError, DanglingReference, DataError, DuplicateId, MalformedRecord
 
 DEFAULT_PRODUCTIVITY_WINDOW = (2004, 2008)
 DEFAULT_COLLABORATION_WINDOW = (2001, 2010)
@@ -433,6 +433,13 @@ def _load_utf8(loader, path: Path):
                               f"invalid UTF-8: {exc.reason}") from None
 
 
+def check_windows(error=ConfigError, **windows: tuple[int, int]) -> None:
+    """Raise ``error`` for a window whose start year is after its end year."""
+    for name, (lo, hi) in windows.items():
+        if lo > hi:
+            raise error(f"{name} {lo}:{hi} is reversed")
+
+
 def load_corpus(
     directory: str | Path,
     productivity_window: tuple[int, int] = DEFAULT_PRODUCTIVITY_WINDOW,
@@ -440,13 +447,16 @@ def load_corpus(
 ) -> Corpus:
     """Load and cross-link a corpus from the four input files of a directory.
 
-    Raises DataError for an input file that is missing or cannot be read,
+    Raises ConfigError for a reversed window, before any file is read;
+    DataError for an input file that is missing or cannot be read,
     MalformedRecord (also for bytes that are not UTF-8 and for unreadable
     CSV), DuplicateId, or DanglingReference. Unresolved committee and
     taxonomy references are collected across the whole corpus and reported
     together rather than one at a time. Invariant violations that are data
     (not parse failures) are left to ``validate_corpus``.
     """
+    check_windows(productivity_window=productivity_window,
+                  collaboration_window=collaboration_window)
     paths = CorpusPaths.in_dir(directory)
     taxonomy = _load_utf8(_load_taxonomy, paths.taxonomy)
     researchers = _load_utf8(_load_researchers, paths.researchers)

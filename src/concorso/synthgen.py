@@ -38,6 +38,7 @@ from .corpus import (
     Rank,
     Researcher,
     SdsRecord,
+    check_windows,
     write_corpus,
     write_lines,
 )
@@ -151,10 +152,8 @@ def validate_config(cfg: GenConfig) -> None:
             bad(f"weights.{weight.name} must be finite, got {value}")
     if cfg.weights.noise_sd < 0:
         bad(f"noise_sd must be >= 0, got {cfg.weights.noise_sd}")
-    for name in ("productivity_window", "collaboration_window"):
-        window = getattr(cfg, name)
-        if window[0] > window[1]:
-            bad(f"{name} {window[0]}:{window[1]} is reversed")
+    check_windows(InfeasibleConfig, productivity_window=cfg.productivity_window,
+                  collaboration_window=cfg.collaboration_window)
     # every eligible applicant starts by this year and needs a score
     if cfg.productivity_window[1] < LATEST_ELIGIBLE_START:
         bad(f"productivity window ends {cfg.productivity_window[1]}, before "

@@ -574,10 +574,41 @@ def test_stages_one_by_one_equal_report(golden_corpus, tmp_path, capsys):
     assert digests(stages_dir) == digests(report_dir)
 
 
+# The files each analysis stage writes, as the README's stage table lists them.
+STAGE_OUTPUTS = {
+    "score": {"scores.csv", "score_meta.json"},
+    "audit": {"findings.csv", "bias_negative.json", "bias_negative.txt",
+              "bias_positive.json", "bias_positive.txt"},
+    "regress": {"features.csv", "descriptives.json", "descriptives.txt",
+                "correlations.json", "correlations.txt", "regression.json",
+                "regression.txt"},
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_OUTPUTS))
+def test_each_stage_writes_its_own_files_into_a_fresh_dir(golden_corpus,
+                                                          tmp_path, capsys,
+                                                          stage):
+    out_dir = tmp_path / "fresh" / stage
+    assert main([stage, "--input-dir", str(golden_corpus),
+                 "--out-dir", str(out_dir)]) == 0
+    assert {p.name for p in out_dir.iterdir()} == STAGE_OUTPUTS[stage]
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    assert out.startswith({"score": "scored ", "audit": "audited ",
+                           "regress": "fitted "}[stage])
+
+
+# The names perfbench/tracer.py wraps in concorso.cli: a stage that stops
+# calling through one of them drops out of the traced run's spans.
+TRACED_CLI_NAMES = ("load_corpus", "validate_corpus", "score_corpus",
+                    "filter_eligible", "extract_all", "detect_all",
+                    "aggregate_bias", "correlations_dict", "fit_logit")
+
+
 def test_one_load_score_extract_per_run(golden_corpus, tmp_path, monkeypatch,
                                         capsys):
-    counted = ("load_corpus", "score_corpus", "extract_all")
-    calls = dict.fromkeys(counted, 0)
+    calls = dict.fromkeys(TRACED_CLI_NAMES, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -585,15 +616,18 @@ def test_one_load_score_extract_per_run(golden_corpus, tmp_path, monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in counted:
+    for name in TRACED_CLI_NAMES:
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
-    for command, extractions in (("report", 1), ("score", 0), ("audit", 1),
-                                 ("regress", 1)):
-        calls.update(dict.fromkeys(counted, 0))
+    not_called = {"report": (),
+                  "score": TRACED_CLI_NAMES[3:],
+                  "audit": ("correlations_dict", "fit_logit"),
+                  "regress": ("detect_all", "aggregate_bias")}
+    for command, skipped in not_called.items():
+        calls.update(dict.fromkeys(TRACED_CLI_NAMES, 0))
         assert main([command, "--input-dir", str(golden_corpus),
                      "--out-dir", str(tmp_path / command)]) == 0
-        assert calls == {"load_corpus": 1, "score_corpus": 1,
-                         "extract_all": extractions}, command
+        assert calls == {name: int(name not in skipped)
+                         for name in TRACED_CLI_NAMES}, command
 
 
 def bias_twins(corpus_dir, **kwargs):

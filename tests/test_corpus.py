@@ -30,6 +30,7 @@ from concorso.corpus import (
     write_table,
 )
 from concorso.errors import (
+    ConfigError,
     DanglingReference,
     DataError,
     DuplicateId,
@@ -107,6 +108,13 @@ def test_hand_fixture_field_by_field(tmp_path):
     assert corpus.taxonomy["MAT-05"] == SdsRecord("MAT-05", "09", Convention.ALPHABETICAL)
     assert corpus.taxonomy["FIS-01"].convention is Convention.CONTRIBUTION
     assert validate_corpus(corpus).ok
+
+
+@pytest.mark.parametrize("name", ["productivity_window", "collaboration_window"])
+def test_reversed_window_is_refused_before_any_file_is_read(tmp_path, name):
+    # a reversed window reads no year: it would load with every count 0
+    with pytest.raises(ConfigError, match=f"^{name} 2010:2001 is reversed$"):
+        load_corpus(tmp_path, **{name: (2010, 2001)})
 
 
 def test_affiliation_helpers(tmp_path):

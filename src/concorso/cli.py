@@ -54,32 +54,23 @@ from .stats import fit_logit
 from .synthgen import GenConfig, LatentWeights, generate_to_dir
 
 
-def parse_window(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"invalid window {text!r}: expected Y0:Y1")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConfigError(f"invalid window {text!r}: years must be integers")
-    if lo > hi:
-        raise ConfigError(f"invalid window {text!r}: start year after end year")
-    return lo, hi
+def window(text: str) -> tuple[int, int]:
+    """The ``Y0:Y1`` of a window flag as two years; any other text is a
+    ValueError. ``corpus.check_windows`` refuses a reversed window."""
+    lo, hi = text.split(":")
+    return int(lo), int(hi)
 
 
-def _windows(args: argparse.Namespace) -> dict[str, tuple[int, int]]:
-    """The corpus windows given by --window-fss and --window-collab, as
-    keyword arguments of ``load_corpus`` and ``GenConfig``."""
-    windows = {}
-    if args.window_fss:
-        windows["productivity_window"] = parse_window(args.window_fss)
-    if args.window_collab:
-        windows["collaboration_window"] = parse_window(args.window_collab)
-    return windows
+def threshold(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
-def _load(input_dir: Path, windows: dict[str, tuple[int, int]]) -> Corpus:
-    corpus = load_corpus(input_dir, **windows)
+def _load(args: argparse.Namespace) -> Corpus:
+    corpus = load_corpus(args.input_dir, args.productivity_window,
+                         args.collaboration_window)
     report = validate_corpus(corpus)
     if not report.ok:
         lines = [f"  {v.entity_type} {v.entity_id}: {v.message}"
@@ -118,8 +109,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         **{name: getattr(args, f"w_{name}") for name in WEIGHT_FIELDS})
     gen_cfg = GenConfig(
         weights=weights,
-        **{name: getattr(args, name) for name in GEN_FIELDS},
-        **_windows(args))
+        productivity_window=args.productivity_window,
+        collaboration_window=args.collaboration_window,
+        **{name: getattr(args, name) for name in GEN_FIELDS})
     corpus, truth = generate_to_dir(gen_cfg, args.out_dir)
     print(f"generated corpus with seed {gen_cfg.seed}: "
           f"{len(corpus.researchers)} researchers, "
@@ -149,13 +141,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     fit that fails (exit 2) leaves the score and audit files, features.csv
     and the descriptives and correlations twins.
     """
-    windows = _windows(args)
     out_dir = args.out_dir
-    if "audit" in args.stages and not (math.isfinite(args.threshold)
-                                       and args.threshold > 0):
-        raise ConfigError(
-            f"threshold must be finite and > 0, got {args.threshold:g}")
-    corpus = _load(args.input_dir, windows)
+    corpus = _load(args)
     table = score_corpus(corpus)
     if "score" in args.stages:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,10 +197,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window-fss", metavar="Y0:Y1",
+    p.add_argument("--window-fss", type=window, metavar="Y0:Y1",
+                   dest="productivity_window", default=DEFAULT_PRODUCTIVITY_WINDOW,
                    help="productivity window (default %d:%d)"
                    % DEFAULT_PRODUCTIVITY_WINDOW)
-    p.add_argument("--window-collab", metavar="Y0:Y1",
+    p.add_argument("--window-collab", type=window, metavar="Y0:Y1",
+                   dest="collaboration_window", default=DEFAULT_COLLABORATION_WINDOW,
                    help="collaboration window (default %d:%d)"
                    % DEFAULT_COLLABORATION_WINDOW)
 
@@ -244,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=Path, required=True)
         _add_window_flags(p)
         if "audit" in stages:
-            p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+            p.add_argument("--threshold", type=threshold, default=DEFAULT_THRESHOLD,
                            help="bias threshold in percentile points "
                                 "(default %(default)g)")
             p.add_argument("--welch", action="store_true",
@@ -272,8 +261,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # checked before any work: mkdir fails only once the outputs are ready;
         # a dangling symbolic link exists, though not as a directory
-        existing = next(p for p in (args.out_dir, *args.out_dir.parents)
-                        if p.exists() or p.is_symlink())
+        try:
+            existing = next(p for p in (args.out_dir, *args.out_dir.parents)
+                            if p.exists() or p.is_symlink())
+        except OSError as exc:  # a name too long to look up, say
+            raise ConfigError(f"--out-dir {args.out_dir}: {exc.strerror}")
         if not existing.is_dir():
             raise ConfigError(f"--out-dir {args.out_dir}: {existing} is not a directory")
         return args.func(args)

@@ -122,7 +122,7 @@ def _rank_split(n: int) -> tuple[int, int, int]:
 CONFIG_BOUNDS = (("seed", 0, None), ("n_sds", 1, None), ("n_universities", 1, None),
                  ("researchers_per_sds", 1, None), ("surname_pool", 1, None),
                  ("competitions_per_sds", 1, None), ("female_share", 0, 1),
-                 ("mobility_rate", 0, 1))
+                 ("mobility_rate", 0, 1), ("winners_per_competition", 1, 2))
 
 
 def validate_config(cfg: GenConfig) -> None:
@@ -140,9 +140,6 @@ def validate_config(cfg: GenConfig) -> None:
             f"{max(n_ast, 0)} assistant professors after seating {n_full} full "
             f"and {n_aso} associate professors; need at least "
             f"{cfg.winners_per_competition + 1}")
-    if cfg.winners_per_competition not in (1, 2):
-        bad(f"winners_per_competition must be 1 or 2, "
-            f"got {cfg.winners_per_competition}")
     if cfg.applicants_per_competition < cfg.winners_per_competition + 1:
         bad(f"applicants_per_competition={cfg.applicants_per_competition} must "
             f"exceed winners_per_competition={cfg.winners_per_competition}")

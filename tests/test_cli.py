@@ -23,8 +23,7 @@ from concorso import bias
 from concorso.bias import BiasKind, aggregate_bias, detect_all
 from concorso.corpus import Corpus, load_corpus, write_corpus
 from concorso import cli
-from concorso.cli import main, parse_window
-from concorso.errors import ConfigError
+from concorso.cli import main, window
 from concorso.features import extract_all, write_features
 from concorso.report import (
     fmt,
@@ -70,10 +69,11 @@ def test_fmt_dashes_and_precision():
 
 
 def test_parse_window():
-    assert parse_window("2004:2008") == (2004, 2008)
-    for bad in ("2004", "a:b", "2008:2004", "2004:2005:2006"):
-        with pytest.raises(ConfigError):
-            parse_window(bad)
+    assert window("2004:2008") == (2004, 2008)
+    assert window("2008:2004") == (2008, 2004)  # check_windows refuses it
+    for bad in ("2004", "a:b", "2004:2005:2006"):
+        with pytest.raises(ValueError):
+            window(bad)
 
 
 def test_pipeline_runs_and_is_deterministic(tmp_path, capsys):
@@ -169,11 +169,15 @@ def test_bad_flags_exit_config(tmp_path, capsys):
     assert not (tmp_path / "neg").exists()
     assert main(["score", "--input-dir", str(tmp_path),
                  "--out-dir", str(tmp_path), "--window-fss", "bogus"]) == 3
-    for threshold in ("0", "nan", "inf"):  # a bias band is finite and > 0
+    assert "invalid window value: 'bogus'" in capsys.readouterr().err
+    for threshold in ("0", "nan", "inf", "-1"):  # a bias band is finite and > 0
         for command in ("audit", "report"):
             assert main([command, "--input-dir", str(tmp_path),
-                         "--out-dir", str(tmp_path),
+                         "--out-dir", str(tmp_path / "out"),
                          "--threshold", threshold]) == 3
+            assert (f"must be finite and > 0, got {threshold}"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
     for command in ("regress", "report"):  # clustering is always by competition
         assert main([command, "--input-dir", str(tmp_path),
                      "--out-dir", str(tmp_path), "--clusters", "competition"]) == 3
@@ -198,6 +202,34 @@ def test_bad_flags_exit_config(tmp_path, capsys):
             assert (f"error: --out-dir {out_dir}: {dangling} is not a directory"
                     in capsys.readouterr().err)
             assert dangling.is_symlink() and not (tmp_path / "nowhere").exists()
+    # so is a name too long for the OS to look up, which Path.exists() raises on
+    too_long = tmp_path / ("x" * 300)
+    listing = sorted(os.listdir(tmp_path))
+    for command in (["gen", *GEN_SMALL], ["report", "--input-dir", str(corpus_dir)]):
+        assert main([*command, "--out-dir", str(too_long)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out-dir {too_long}: ")
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == listing
+
+
+def test_reversed_window_is_refused_by_check_windows(tmp_path, capsys):
+    # the window flags only split Y0:Y1; corpus.check_windows alone refuses a
+    # reversed window, before gen draws or an analysis reads a file
+    corpus_dir = tmp_path / "corpus"
+    assert run_gen(corpus_dir) == 0
+    out_dir = tmp_path / "out"
+    commands = [["gen", *GEN_SMALL]] + [
+        [name, "--input-dir", str(corpus_dir)]
+        for name in ("score", "audit", "regress", "report")]
+    for flag, name in (("--window-fss", "productivity_window"),
+                       ("--window-collab", "collaboration_window")):
+        for command in commands:
+            capsys.readouterr()
+            assert main([*command, "--out-dir", str(out_dir),
+                         flag, "2010:2001"]) == 3, (command, flag)
+            assert capsys.readouterr().err == f"error: {name} 2010:2001 is reversed\n"
+            assert not out_dir.exists()
 
 
 def test_gen_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch,

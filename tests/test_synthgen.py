@@ -250,7 +250,7 @@ def test_infeasible_configs_rejected():
         (dict(n_universities=0), "n_universities must be >= 1, got 0"),
         (dict(female_share=1.5), "female_share must lie in [0,1], got 1.5"),
         (dict(female_share=math.nan), "female_share must lie in [0,1], got nan"),
-        (dict(winners_per_competition=3), "winners_per_competition must be 1 or 2, got 3"),
+        (dict(winners_per_competition=3), "winners_per_competition must lie in [1,2], got 3"),
         (dict(applicants_per_competition=1),
          "applicants_per_competition=1 must exceed winners_per_competition=1"),
         (dict(applicants_per_competition=2, winners_per_competition=2),

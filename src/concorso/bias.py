@@ -216,7 +216,6 @@ def _bias_twin(kind: BiasKind, findings, split, n_competitions: int,
         "threshold": threshold,
         "n_competitions": n_competitions,
         "n_findings": len(findings),
-        "levels_p_i_only": False,  # levels cover every trigger
         "n_incidence_tests": n_incidence_tests,
         "n_level_tests": n_level_tests,
         "rows": rows,

@@ -468,19 +468,21 @@ GOLDEN_GEN_S = {
 }
 
 # sha256 of the 14 `concorso report` outputs on that corpus, as produced when
-# report still ran score, audit and regress as three separate passes.
+# report still ran score, audit and regress as three separate passes; the four
+# JSON files with p-values were re-pinned when stats.py came to compute its
+# own t, chi-squared and normal tails (last-digit changes, every .txt equal).
 GOLDEN_REPORT_S = {
-    "bias_negative.json": "2b0f312312790d65b5c731f8d8410897172648a151e086f0b3f3c41f52d6713f",
+    "bias_negative.json": "a8b4a51c204fc259674c413da170ce815bbc9b16c180e1607c057e72730a1393",
     "bias_negative.txt": "b5d311b370e67f3c8e7d173ec7cfc342dd266d2cbf7b742119cc11b001084b6c",
-    "bias_positive.json": "a9f73b2952106f963813f7962e74ee174fcb91097014bf8e2176d28ccdcb2607",
+    "bias_positive.json": "2405b55b88c99b05fc2818fbeee627eb9e0b1f5eb03fcd224971d4f900b2ec7d",
     "bias_positive.txt": "4a2a589929243504f27e260503468b5533d41e4c3430d4c09cfbf9d37b6e1161",
-    "correlations.json": "872eeedb102a71556a8741650a72289d53f3c102fd4533bac8069477a44913be",
+    "correlations.json": "6e962570ec237ab1723bfaf14851f0df5f95d1f3e690ea0f17c573d6c89dbdfc",
     "correlations.txt": "738e0e387058ebc16d3bf5f9378bb2e25a4d7c23b77b8a74956de86133a70703",
     "descriptives.json": "2fd74869d46f0c0f76eb663df1a386089cd56800e265e60e11deca27e7a74e7e",
     "descriptives.txt": "2c48c7e3c553e118c64ec50e1a2ba7f9869624c9279c436f0ca74743c201b771",
     "features.csv": "65b614ca330f7fd38751be9952566c4ab283b55b6170a6ee3def35e7aaab1375",
     "findings.csv": "e79c1a346b70f41120460de577abca588eecdc9c50b8e5cd0ba9836261469328",
-    "regression.json": "e752c4d35b7ad2d18604cd93f63906beed54b15b2bd97ac283cd3a01c71588a2",
+    "regression.json": "6a360fcc992c970bc3671d8c0a51f52caefafffd6867c175252921f5a143b841",
     "regression.txt": "e2b1c88e72685095e3c46f0b7bd1fa5cfe17ac4f76d0d3037767fda7299a6ccb",
     "score_meta.json": "295baa72988d611762c3c0dd3c636b196214df53aefcefa1f65ce3b6f2d86f57",
     "scores.csv": "a1709c3e1e6ea6beaebd697d88fb56db43674140fd093c0cefb6e9557fec6df5",
@@ -490,7 +492,8 @@ GOLDEN_REPORT_S = {
 # The same at M: `concorso gen --n-sds 20 --researchers-per-sds 100
 # --competitions-per-sds 20 --seed 1 --w-cp 6 --noise-sd 8` and the 14
 # `concorso report` outputs on that corpus, as produced before the generator
-# shared its coauthor pools and affiliation timelines across publications.
+# shared its coauthor pools and affiliation timelines across publications
+# (the four JSON files with p-values re-pinned as at S).
 GOLDEN_GEN_M = {
     "competitions.jsonl": "fe4929fc47ea380d15e6db61607091828c4887fcfb8f81fd26d271d5c3d485e1",
     "ground_truth.jsonl": "babbd2e8aef5ddefa0475d3ea7c3a447e99728aac8a5ffc7ac5298d71bc5dff2",
@@ -499,17 +502,17 @@ GOLDEN_GEN_M = {
     "taxonomy.csv": "4dbdc886e6ab869381565b4330f4525862ee8c320b02ea357eb212de22cb0a90",
 }
 GOLDEN_REPORT_M = {
-    "bias_negative.json": "bc0bf6d6728ce944dd7d122cbd4a217422c0c018ce7d329c2303677cf0a89d57",
+    "bias_negative.json": "d97503ae46fed289e927c4fd5459cac2aa272a5b6d7434952fd10027c32b6937",
     "bias_negative.txt": "0562f4863638ddf3d1982b5045972943621ec29bc612db67e43276ec7d34d87c",
-    "bias_positive.json": "51bde672ea3d3e97fc262276eabdef978ca85b082bd4b8cd21d1ed3fddf2363a",
+    "bias_positive.json": "7727966fbab8bcc1278f35f2e72cd6e8650bc26a09364bce6de0e82fdff11bfe",
     "bias_positive.txt": "9da20c1edd34990efcb02ce7f0ac00b27e54ca867ce3a58d92eba9d1822c0f83",
-    "correlations.json": "2118fe361454337f33776c278fd53b3a628cb437563c32d7526df47b8a9b7ac5",
+    "correlations.json": "4f462222db4de788ade7ece42935a895790eb4384905df21af54abef61b68ff3",
     "correlations.txt": "72d33ba02820267ab165a8cba5501a1f65c01f30ae74c9466500bf4b9328cd9c",
     "descriptives.json": "433d079b4cb5ade3eb9e0ca6315e7bf4979a75abcc0f7897e740113b2f410a5c",
     "descriptives.txt": "a8444eee65f25ade165093e89a578c700b9df948cb94a9f3244bfc76c267b456",
     "features.csv": "6498bc05e9363428fb5c2e03f1b0d4eca6097b0a7bdbc2c4811b5790b7181dc8",
     "findings.csv": "cb106c7f53870e380498e1e4dbae0de7397e5dc08c2a7f35f3af89ba86518324",
-    "regression.json": "4785036139d190b94711c011f9442220da6ba4b7731698dff532020d59c5196e",
+    "regression.json": "743d8c958e332af4eb65bedc43d7815f33a0fa81466242142b0ae586cf757e76",
     "regression.txt": "bd4a6412a986d2b621c14590828a798cb587b0b1a11c218779925c5ce6bc1abd",
     "score_meta.json": "b3c419c0ba61bd97f57bb3c1efed82518b4b6f7ededc270faa571928954d9276",
     "scores.csv": "ee9750ac6f44e362e5c250ba33109dc5ca7fe68aeb3eaca932a517e3b2a1b3c2",

@@ -1,6 +1,6 @@
 """Tests for the package namespace: ``import concorso`` loads no submodule,
-each public name imports its defining module on first use, and
-``concorso gen`` loads no scipy."""
+each public name imports its defining module on first use, and neither
+``concorso gen`` nor ``concorso report`` loads scipy."""
 
 import importlib
 import subprocess
@@ -39,6 +39,20 @@ def test_gen_loads_no_scipy(tmp_path):
     loaded = _fresh(f"import concorso.cli\nassert concorso.cli.main({argv!r}) == 0\n"
                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert loaded.splitlines()[-1] == "[]"
+
+
+def test_report_loads_no_scipy(tmp_path):
+    # report's p-values come from stats.py's own tail functions; scipy is a
+    # test oracle only
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    runs = [["gen", "--out-dir", str(corpus), "--seed", "1", "--w-cp", "6",
+             "--noise-sd", "8"],
+            ["report", "--input-dir", str(corpus), "--out-dir", str(out)]]
+    loaded = _fresh("import concorso.cli\n"
+                    f"assert [concorso.cli.main(argv) for argv in {runs!r}] == [0, 0]\n"
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.splitlines()[-1] == "[]"
+    assert (out / "regression.json").is_file()
 
 
 def test_star_import_binds_every_public_name():

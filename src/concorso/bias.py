@@ -119,23 +119,24 @@ def detect_positive(
     return findings
 
 
+def audit_set(features, corpus: Corpus, medians: dict[str, float]) -> dict[str, list]:
+    """The rows of each audited competition by id, in id order: one with a
+    winner, a non-winner and a cohort median for its SDS in ``medians``."""
+    return {comp_id: rows for comp_id, rows in sorted(by_competition(features).items())
+            if corpus.competitions[comp_id].sds_id in medians
+            and any(r.won for r in rows) and not all(r.won for r in rows)}
+
+
 def detect_all(
     features,
     corpus: Corpus,
     medians: dict[str, float],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[BiasFinding]:
-    """Run both detectors over each competition's rows, in competition order.
-
-    ``medians`` maps SDS id to the cohort median raw score; competitions
-    whose SDS has no median (empty cohort) are skipped, and a competition
-    without both a winner and a non-winner has no findings.
-    """
+    """Run both detectors over each competition of ``audit_set``, in id order."""
     findings: list[BiasFinding] = []
-    for comp_id, rows in sorted(by_competition(features).items()):
-        median = medians.get(corpus.competitions[comp_id].sds_id)
-        if median is None:
-            continue
+    for comp_id, rows in audit_set(features, corpus, medians).items():
+        median = medians[corpus.competitions[comp_id].sds_id]
         findings.extend(detect_negative(comp_id, rows, median, threshold))
         findings.extend(detect_positive(comp_id, rows, median, threshold))
     return findings
@@ -227,6 +228,7 @@ def aggregate_bias(
     findings,
     features,
     corpus: Corpus,
+    medians: dict[str, float],
     threshold: float = DEFAULT_THRESHOLD,
     welch: bool = False,
 ) -> dict[BiasKind, dict]:
@@ -234,9 +236,9 @@ def aggregate_bias(
 
     Returns the JSON twin of each bias table (what ``render_bias_table``
     reads), keyed by ``BiasKind``. ``features`` are feature rows such as
-    ``extract_all`` returns; only the audit set counts, the competitions whose
-    rows hold both a winner and a non-winner, since only there can winners be
-    compared with non-winners. Applicant counts are applicant-competition
+    ``extract_all`` returns; only the rows of ``audit_set(features, corpus,
+    medians)`` count, the competitions ``detect_all`` screens with the same
+    ``medians``. Applicant counts are applicant-competition
     pairs, so a researcher who entered several competitions counts once per
     entry. The UDA grouping, the gender split and each cell's merit-vs-outcome
     correlation do not depend on the kind: they are computed once and shared
@@ -245,8 +247,7 @@ def aggregate_bias(
     genders get two-sample t-tests, Bonferroni-adjusted across the per-UDA
     family.
     """
-    audited = {comp_id for comp_id, rows in by_competition(features).items()
-               if any(r.won for r in rows) and not all(r.won for r in rows)}
+    audited = audit_set(features, corpus, medians)
     features = [r for r in features if r.competition_id in audited]
 
     by_uda: dict[str, list[ApplicantFeatures]] = {}

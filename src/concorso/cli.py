@@ -158,10 +158,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     corpus.publications.clear()  # nothing reads them from here on: free them
     out_dir.mkdir(parents=True, exist_ok=True)
     if "audit" in args.stages:
-        findings = detect_all(rows, corpus, median_fss_by_sds(table, corpus),
-                              threshold=args.threshold)
+        medians = median_fss_by_sds(table, corpus)
+        findings = detect_all(rows, corpus, medians, threshold=args.threshold)
         write_findings(findings, out_dir / "findings.csv")
-        twins = aggregate_bias(findings, rows, corpus,
+        twins = aggregate_bias(findings, rows, corpus, medians,
                                threshold=args.threshold, welch=args.welch)
         for kind, twin in twins.items():
             _write_twin(out_dir / f"bias_{kind.value}", twin,

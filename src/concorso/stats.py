@@ -6,7 +6,9 @@ probabilities too, so no scipy is needed: the Student-t tail is ½·I_x(df/2, ½
 at x = df/(df + t²), by a continued fraction of the incomplete beta (Numerical
 Recipes 3rd ed. §6.4, with log B at large df as in DiDonato & Morris 1992, ACM
 TOMS 18:360), the χ² tail at integer df is the finite sum of Abramowitz &
-Stegun 26.4.4-26.4.5, and the normal tail is ½·erfc(z/√2). ``import concorso``
+Stegun 26.4.4-26.4.5, and the normal tail is ½·erfc(z/√2). The VIF of
+regressor j is (R⁻¹)_jj, R the regressors' correlation matrix, which equals
+1/(1 − R²_j) of j's regression on the others. ``import concorso``
 loads neither numpy nor this module: the package imports it only when one of
 its names is first used.
 """
@@ -29,7 +31,8 @@ MAX_ITERATIONS = 100
 SCORE_TOL = 1e-8        # max-abs gradient at the optimum
 LL_TOL = 1e-10          # log-likelihood change fallback
 PROB_PIN = 1e-10        # fitted probabilities this close to 0/1 signal separation
-BETA_BLOWUP = 30.0
+ETA_BLOWUP = 30.0       # ... with some |Xβ| above it (Xβ, unlike β, ignores G's coding)
+EPS = 2.0 ** -52        # machine epsilon
 CF_MAX_STEPS = 1000     # the t tail's continued fraction takes at most 74 to df 1e6
 
 
@@ -92,10 +95,11 @@ def two_sample_t(a, b, pooled: bool = True) -> TestResult:
         sp2 = ((na - 1) * va + (nb - 1) * vb) / df
         denom = math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
     else:
-        denom = math.sqrt(va / na + vb / nb)
-        if denom > 0.0:
-            df = (va / na + vb / nb) ** 2 / (
-                (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+        s = va / na + vb / nb
+        denom = math.sqrt(s)
+        if denom > 0.0:  # from each term's share of s, as s² underflows long before s
+            wa, wb = va / na / s, vb / nb / s
+            df = 1.0 / (wa * wa / (na - 1) + wb * wb / (nb - 1))
         else:
             df = na + nb - 2
     if denom == 0.0:
@@ -160,7 +164,7 @@ def _beta_cf(a: float, b: float, z: float) -> float:
             c = 1.0 + coef / c
             c = c if abs(c) > tiny else tiny
             f *= c * d
-        if abs(c * d - 1.0) <= 2.0 ** -52:  # machine epsilon
+        if abs(c * d - 1.0) <= EPS:
             return 1.0 / f
     raise Nonconvergence(f"incomplete beta fraction: no convergence in "
                          f"{CF_MAX_STEPS} steps at a={a}, b={b}, z={z}")
@@ -335,9 +339,9 @@ def fit_logit(design: DesignMatrix) -> RegressionResult:
         p = _sigmoid(eta)
         information = X.T @ (X * (p * (1.0 - p))[:, None])
         if ((p < PROB_PIN) | (p > 1.0 - PROB_PIN)).any() and \
-                float(np.abs(beta).max()) > BETA_BLOWUP:
+                float(np.abs(eta).max()) > ETA_BLOWUP:
             raise SeparationDetected(
-                "fitted probabilities pinned at 0/1 with diverging coefficients")
+                "fitted probabilities pinned at 0/1 with a diverging linear predictor")
         if abs(ll_change) < LL_TOL:
             break
         if steps == MAX_ITERATIONS:
@@ -419,11 +423,10 @@ def fit_logit(design: DesignMatrix) -> RegressionResult:
 
 
 def vif(design: DesignMatrix) -> tuple[dict[str, float], float]:
-    """Variance inflation factors for every non-intercept column.
-
-    Each VIF_j is 1/(1 - R^2_j) from the least-squares regression of column
-    j on the remaining columns plus an intercept. Exact collinearity raises;
-    near-collinearity returns large finite values.
+    """Variance inflation factors for every non-intercept column: VIF_j is the
+    j-th diagonal entry of the inverse of their correlation matrix. Exact
+    collinearity raises, and so does a near one whose factor the rounding of
+    the correlations leaves without a digit; a milder one gives large values.
     """
     names = [c for c in design.columns if c != "const"]
     idx = [j for j, c in enumerate(design.columns) if c != "const"]
@@ -434,24 +437,16 @@ def vif(design: DesignMatrix) -> tuple[dict[str, float], float]:
             f"VIF needs more observations than regressors, got "
             f"{design.n_obs} rows for {len(idx)} columns")
     base = design.X[:, idx]
-    n = base.shape[0]
-    with_const = np.column_stack([np.ones(n), base])
+    with_const = np.column_stack([np.ones(design.n_obs), base])
     if np.linalg.matrix_rank(with_const) < with_const.shape[1]:
         raise RankDeficient("base regressors are exactly collinear")
-
-    out: dict[str, float] = {}
-    for j, name in enumerate(names):
-        target = base[:, j]
-        others = np.column_stack(
-            [np.ones(n)] + [base[:, m] for m in range(len(names)) if m != j])
-        coef, _, _, _ = np.linalg.lstsq(others, target, rcond=None)
-        resid = target - others @ coef
-        sst = float(((target - target.mean()) ** 2).sum())
-        if sst == 0.0:
-            raise RankDeficient(f"column {name} is constant")
-        r2 = 1.0 - float(resid @ resid) / sst
-        if r2 >= 1.0:
-            raise RankDeficient(f"column {name} is exactly explained by the others")
-        out[name] = 1.0 / (1.0 - r2)
-    average = ordered_sum(out.values()) / len(out)
-    return out, average
+    try:
+        factors = np.diag(np.linalg.inv(np.corrcoef(base, rowvar=False)))
+    except np.linalg.LinAlgError:  # a correlation that rounds to exactly ±1
+        factors = np.full(len(names), math.inf)
+    # no digit is left when 1/VIF_j = 1 - R^2_j is within n·ε (R's rounding) of 0
+    bad = np.flatnonzero(~((factors >= 1.0) & (factors * design.n_obs * EPS < 1.0)))
+    if bad.size:
+        raise RankDeficient(f"column {names[bad[0]]} is exactly explained by the others")
+    out = dict(zip(names, factors.tolist()))
+    return out, ordered_sum(out.values()) / len(out)

@@ -6,6 +6,7 @@ import pytest
 from concorso.bias import (
     BiasKind,
     aggregate_bias,
+    audit_set,
     detect_all,
     detect_negative,
     detect_positive,
@@ -276,6 +277,28 @@ def test_detect_all_skips_a_competition_without_a_cohort_median():
     assert findings
 
 
+def test_aggregate_counts_only_the_competitions_detect_all_screens():
+    # one audit-set rule: c2's SDS has no cohort median, so detect_all skips
+    # it, and the tables leave out its competition and its applicants too
+    corpus = audit_corpus()
+    features = [
+        row("c1", "w1", 1, 10, raw=0.5, female=1), row("c1", "n1", 0, 80, raw=3.0),
+        row("c2", "w2", 1, 10, raw=0.5, female=1), row("c2", "n2", 0, 80, raw=3.0),
+    ]
+    medians = {"SA": 2.0}
+    assert list(audit_set(features, corpus, medians)) == ["c1"]
+    twins = aggregate_bias(detect_all(features, corpus, medians), features,
+                           corpus, medians)
+    for twin in twins.values():
+        assert twin["n_competitions"] == 1
+        assert [r["uda"] for r in twin["rows"]] == ["A"]
+        overall = twin["overall"]
+        assert overall["female"]["n_applicants"] == 1
+        assert overall["male"]["n_applicants"] == 1
+    assert twins[BiasKind.NEGATIVE]["overall"]["male"]["n_flagged"] == 1
+    assert twins[BiasKind.POSITIVE]["overall"]["female"]["n_flagged"] == 1
+
+
 def test_aggregate_counts_and_levels():
     corpus = audit_corpus()
     features = [
@@ -286,8 +309,9 @@ def test_aggregate_counts_and_levels():
         row("c2", "n3", 0, 90, raw=9.0, female=1),
         row("c2", "n4", 0, 85, raw=9.0, female=0),
     ]
-    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0})
-    table = aggregate_bias(findings, features, corpus)[BiasKind.NEGATIVE]
+    medians = {"SA": 1.0, "SB": 1.0}
+    findings = detect_all(features, corpus, medians)
+    table = aggregate_bias(findings, features, corpus, medians)[BiasKind.NEGATIVE]
 
     assert table["kind"] == "negative"
     assert [r["uda"] for r in table["rows"]] == ["A", "B"]
@@ -322,7 +346,7 @@ def test_aggregate_no_findings():
     corpus = audit_corpus()
     features = [row("c1", "w1", 1, 90, raw=9.0, female=1),
                 row("c1", "n1", 0, 10, raw=9.0, female=0)]
-    table = aggregate_bias([], features, corpus)[BiasKind.NEGATIVE]
+    table = aggregate_bias([], features, corpus, {"SA": 1.0})[BiasKind.NEGATIVE]
     assert table["n_findings"] == 0
     cell = table["rows"][0]["female"]
     assert cell["n_flagged"] == 0 and cell["n_applicants"] == 1
@@ -343,8 +367,9 @@ def test_aggregate_bonferroni_family_size():
         row("c2", "n4", 0, 85, raw=9.0, female=0),
         row("c2", "n6", 0, 30, raw=9.0, female=1),
     ]
-    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0})
-    table = aggregate_bias(findings, features, corpus)[BiasKind.NEGATIVE]
+    medians = {"SA": 1.0, "SB": 1.0}
+    findings = detect_all(features, corpus, medians)
+    table = aggregate_bias(findings, features, corpus, medians)[BiasKind.NEGATIVE]
     computable = [r["incidence_test"] for r in table["rows"]
                   if r["incidence_test"]]
     m = len(computable)
@@ -370,8 +395,9 @@ def test_bias_table_adjusts_a_uda_named_all():
         row("c2", "n4", 0, 85, raw=9.0, female=0),
         row("c2", "n6", 0, 30, raw=9.0, female=1),
     ]
-    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0})
-    twin = aggregate_bias(findings, features, corpus)[BiasKind.NEGATIVE]
+    medians = {"SA": 1.0, "SB": 1.0}
+    findings = detect_all(features, corpus, medians)
+    twin = aggregate_bias(findings, features, corpus, medians)[BiasKind.NEGATIVE]
     assert [r["uda"] for r in twin["rows"]] == ["B", "all"]
     uda_all = twin["rows"][1]
     lines = render_bias_table(twin).splitlines()
@@ -426,8 +452,9 @@ def test_aggregate_levels_include_p_ii_only_findings():
         row("c2", "w2", 1, 10, raw=9.0, female=1),  # P-i, F = 60
         row("c2", "n3", 0, 90, raw=9.0, female=0),
     ]
-    findings = detect_all(features, corpus, {"SA": 2.0, "SB": 2.0})
-    everything = aggregate_bias(findings, features, corpus)[BiasKind.POSITIVE]
+    medians = {"SA": 2.0, "SB": 2.0}
+    findings = detect_all(features, corpus, medians)
+    everything = aggregate_bias(findings, features, corpus, medians)[BiasKind.POSITIVE]
     assert everything["overall"]["female"]["n_flagged"] == 2
     assert everything["overall"]["female"]["level_mean"] == pytest.approx(
         (60.0 - 15.0) / 2)
@@ -442,9 +469,10 @@ def test_aggregate_welch_flag_changes_df():
         features.append(row(cid, f"r{i}", int(i % 7 == 0),
                             float(rng.integers(0, 101)),
                             raw=9.0, female=int(i % 3 == 0)))
-    findings = detect_all(features, corpus, {"SA": 1.0, "SB": 1.0})
-    pooled = aggregate_bias(findings, features, corpus)[BiasKind.POSITIVE]
-    welch = aggregate_bias(findings, features, corpus,
+    medians = {"SA": 1.0, "SB": 1.0}
+    findings = detect_all(features, corpus, medians)
+    pooled = aggregate_bias(findings, features, corpus, medians)[BiasKind.POSITIVE]
+    welch = aggregate_bias(findings, features, corpus, medians,
                            welch=True)[BiasKind.POSITIVE]
     assert (pooled["overall"]["incidence_test"]["df"]
             != welch["overall"]["incidence_test"]["df"])

@@ -470,13 +470,14 @@ GOLDEN_GEN_S = {
 # sha256 of the 14 `concorso report` outputs on that corpus, as produced when
 # report still ran score, audit and regress as three separate passes; the four
 # JSON files with p-values were re-pinned when stats.py came to compute its
-# own t, chi-squared and normal tails (last-digit changes, every .txt equal).
+# own t, chi-squared and normal tails (last-digit changes, every .txt equal),
+# and correlations.json when stats.vif came to invert the correlation matrix.
 GOLDEN_REPORT_S = {
     "bias_negative.json": "a8b4a51c204fc259674c413da170ce815bbc9b16c180e1607c057e72730a1393",
     "bias_negative.txt": "b5d311b370e67f3c8e7d173ec7cfc342dd266d2cbf7b742119cc11b001084b6c",
     "bias_positive.json": "2405b55b88c99b05fc2818fbeee627eb9e0b1f5eb03fcd224971d4f900b2ec7d",
     "bias_positive.txt": "4a2a589929243504f27e260503468b5533d41e4c3430d4c09cfbf9d37b6e1161",
-    "correlations.json": "6e962570ec237ab1723bfaf14851f0df5f95d1f3e690ea0f17c573d6c89dbdfc",
+    "correlations.json": "06ae578fadc03328944af9bbf6d51081f123d4db6491c9ed4b3b64bb6fa4c9d7",
     "correlations.txt": "738e0e387058ebc16d3bf5f9378bb2e25a4d7c23b77b8a74956de86133a70703",
     "descriptives.json": "2fd74869d46f0c0f76eb663df1a386089cd56800e265e60e11deca27e7a74e7e",
     "descriptives.txt": "2c48c7e3c553e118c64ec50e1a2ba7f9869624c9279c436f0ca74743c201b771",
@@ -493,7 +494,7 @@ GOLDEN_REPORT_S = {
 # --competitions-per-sds 20 --seed 1 --w-cp 6 --noise-sd 8` and the 14
 # `concorso report` outputs on that corpus, as produced before the generator
 # shared its coauthor pools and affiliation timelines across publications
-# (the four JSON files with p-values re-pinned as at S).
+# (the four JSON files with p-values and correlations.json re-pinned as at S).
 GOLDEN_GEN_M = {
     "competitions.jsonl": "fe4929fc47ea380d15e6db61607091828c4887fcfb8f81fd26d271d5c3d485e1",
     "ground_truth.jsonl": "babbd2e8aef5ddefa0475d3ea7c3a447e99728aac8a5ffc7ac5298d71bc5dff2",
@@ -506,7 +507,7 @@ GOLDEN_REPORT_M = {
     "bias_negative.txt": "0562f4863638ddf3d1982b5045972943621ec29bc612db67e43276ec7d34d87c",
     "bias_positive.json": "7727966fbab8bcc1278f35f2e72cd6e8650bc26a09364bce6de0e82fdff11bfe",
     "bias_positive.txt": "9da20c1edd34990efcb02ce7f0ac00b27e54ca867ce3a58d92eba9d1822c0f83",
-    "correlations.json": "4f462222db4de788ade7ece42935a895790eb4384905df21af54abef61b68ff3",
+    "correlations.json": "31896b90b35a586b3759c29638224fd34b4594fc816e7efc13960b7e53ff68a1",
     "correlations.txt": "72d33ba02820267ab165a8cba5501a1f65c01f30ae74c9466500bf4b9328cd9c",
     "descriptives.json": "433d079b4cb5ade3eb9e0ca6315e7bf4979a75abcc0f7897e740113b2f410a5c",
     "descriptives.txt": "a8444eee65f25ade165093e89a578c700b9df948cb94a9f3244bfc76c267b456",
@@ -553,9 +554,9 @@ def test_report_releases_publications_after_extraction(golden_corpus, tmp_path,
     # the golden digests show that no later stage needed them
     seen = []
 
-    def spy(findings, rows, corpus, **kwargs):
+    def spy(findings, rows, corpus, medians, **kwargs):
         seen.append(len(corpus.publications))
-        return aggregate_bias(findings, rows, corpus, **kwargs)
+        return aggregate_bias(findings, rows, corpus, medians, **kwargs)
 
     monkeypatch.setattr(cli, "aggregate_bias", spy)
     assert main(["report", "--input-dir", str(golden_corpus),
@@ -670,8 +671,9 @@ def bias_twins(corpus_dir, **kwargs):
     corpus = load_corpus(corpus_dir)
     table = score_corpus(corpus)
     rows = extract_all(corpus, table)
-    findings = detect_all(rows, corpus, median_fss_by_sds(table, corpus))
-    return aggregate_bias(findings, rows, corpus, **kwargs)
+    medians = median_fss_by_sds(table, corpus)
+    findings = detect_all(rows, corpus, medians)
+    return aggregate_bias(findings, rows, corpus, medians, **kwargs)
 
 
 def test_bias_render_from_twin_roundtrip(golden_corpus):

@@ -87,9 +87,11 @@ def test_normalize_family_name():
 # --- eligibility -------------------------------------------------------------
 
 def audit_twin(corpus):
-    """The negative bias twin, without findings, over every extracted row."""
+    """The negative bias twin, without findings, over every extracted row:
+    each SDS is given a cohort median."""
     rows = extract_all(corpus, default_scores(corpus))
-    return aggregate_bias([], rows, corpus)[BiasKind.NEGATIVE]
+    return aggregate_bias([], rows, corpus,
+                          dict.fromkeys(corpus.taxonomy, 0.0))[BiasKind.NEGATIVE]
 
 
 def test_filter_eligible_rules():
@@ -180,9 +182,10 @@ def test_audit_set_read_from_every_extracted_row():
     assert sorted({r.competition_id for r in every}) == ["c1", "c2", "c3"]
     audit = [r for r in every if r.competition_id == "c1"]
 
-    twins = aggregate_bias(detect_all(every, corpus, medians), every, corpus)
+    twins = aggregate_bias(detect_all(every, corpus, medians), every, corpus,
+                           medians)
     assert twins == aggregate_bias(detect_all(audit, corpus, medians), audit,
-                                   corpus)
+                                   corpus, medians)
     for twin in twins.values():
         overall = twin["overall"]
         assert twin["n_competitions"] == 1

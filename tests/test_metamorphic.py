@@ -163,13 +163,7 @@ def test_report_ignores_roster_id_names(originals):
         assert (code, streams, mapped_back) == expected
 
 
-# Mirrored runs whose exit codes differ, as (scale, seed). The 6x30x8 seed-0
-# corpus exits 2 (SeparationDetected) as generated but 0 mirrored: the fit
-# converges either way, but only the file's own coding of G sends the
-# intercept past stats.BETA_BLOWUP while some fitted p are pinned (the FOUND
-# line on the separation guard in CHANGES.md). A guard that does not depend on
-# the coding of G empties this set.
-EXIT_CODE_DEPENDS_ON_CODING = {((6, 30, 8), 0)}
+EXIT_CODE_DEPENDS_ON_CODING = set()
 
 
 def _mirrored_copy(source_dir, dest_dir):

@@ -136,6 +136,24 @@ def test_t_matches_scipy_pooled_and_welch():
     assert welch.df != res.df
 
 
+def test_welch_df_is_scale_free_down_to_tiny_variances():
+    # (va/na)² underflows to 0 near scale 1e-100 while va/na does not, so the
+    # df comes from each term's share of their sum; scipy 1.17.1 is no oracle
+    # here (at 1e-100 it reads df 1.0 and p 0.137)
+    ref = two_sample_t([0.0, 1.0], [3.0, 5.0, 4.0], pooled=False)
+    assert (ref.statistic, ref.df, ref.p_two_sided) == pytest.approx(
+        (-4.5826, 2.8824, 0.021273), rel=1e-4)
+    for scale in (1e-100, 1e-150):
+        res = two_sample_t([0.0, scale], [3 * scale, 5 * scale, 4 * scale],
+                           pooled=False)
+        for key in ("statistic", "df", "p_one_sided", "p_two_sided"):
+            assert getattr(res, key) == pytest.approx(getattr(ref, key), rel=1e-12)
+    # subnormal variances lose digits, but the df stays finite
+    res = two_sample_t([0.0, 1e-160], [3e-160, 5e-160, 4e-160], pooled=False)
+    assert math.isfinite(res.df)
+    assert res.statistic == pytest.approx(ref.statistic, rel=1e-3)
+
+
 def test_t_degenerate_and_infinite():
     with pytest.raises(DegenerateInput):
         two_sample_t([2.0, 2.0], [2.0, 2.0, 2.0])
@@ -316,6 +334,31 @@ def test_logit_separation_detected():
         fit_logit(design)
 
 
+def test_separation_verdict_does_not_depend_on_the_coding_of_g():
+    # a binary B that is 1 on all but three rows, and its G interaction, with
+    # y constant in the (G, B) cells (0, 0), (1, 0) and (1, 1). Newton's Xβ is
+    # the same however G is coded, but β is not: at the last pass max|β| is
+    # 25.6 as coded and 46.4 mirrored, so a guard on β tripped on one side only
+    cells = {(0, 0): (1, 0), (0, 1): (24, 2), (1, 0): (2, 0), (1, 1): (58, 58)}
+    g, b, y = (np.array(v, dtype=float) for v in zip(*(
+        (gi, bi, float(k < wins)) for (gi, bi), (n, wins) in cells.items()
+        for k in range(n))))
+    verdicts = []
+    for coded in (g, 1.0 - g):
+        X = np.column_stack([np.ones(y.size), coded, b, coded * b])
+        design = make_design(X, y, np.arange(y.size) % 7,
+                             names=["const", "G", "B", "G*B"])
+        # the sandwich of a separated fit can have a negative diagonal (an
+        # invalid sqrt); checking it is ROADMAP item 1's remaining half
+        with np.errstate(invalid="ignore"):
+            try:
+                result = fit_logit(design)
+                verdicts.append((result.n_iterations, result.log_likelihood))
+            except SeparationDetected as exc:
+                verdicts.append(str(exc))
+    assert verdicts[0] == pytest.approx(verdicts[1], rel=1e-12)
+
+
 def test_logit_rank_deficient():
     rng = np.random.default_rng(61)
     x = rng.normal(size=50)
@@ -408,12 +451,36 @@ def test_vif_orthogonal_columns():
     assert average == pytest.approx(1.0, abs=1e-12)
 
 
+def near_duplicate(noise, seed=73, n=100, third=True):
+    """Columns a and b = a + noise, and with ``third`` an unrelated c."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    noisy = x + rng.normal(scale=noise, size=n)
+    columns = [np.ones(n), x, noisy] + ([rng.normal(size=n)] if third else [])
+    return make_design(np.column_stack(columns), np.zeros(n),
+                       names=["const", "a", "b", "c"][:len(columns)])
+
+
+def test_vif_matches_per_column_regressions():
+    # the definition as reference: 1/(1 - R^2_j) from the least-squares fit of
+    # column j on the others plus an intercept, for VIFs from ~1 to ~6e5
+    rng = np.random.default_rng(83)
+    for noise in (3.0, 0.3, 0.03, 0.003):
+        z = rng.normal(size=(80, 4))
+        z[:, 3] = z[:, 0] - 2 * z[:, 1] + noise * z[:, 3]
+        X = np.column_stack([np.ones(80), z])
+        factors, _ = vif(make_design(X, np.zeros(80)))
+        for j in range(4):
+            others = np.delete(X, j + 1, axis=1)
+            coef = np.linalg.lstsq(others, X[:, j + 1], rcond=None)[0]
+            resid = X[:, j + 1] - others @ coef
+            centred = X[:, j + 1] - X[:, j + 1].mean()
+            assert factors[f"x{j + 1}"] == pytest.approx(
+                (centred @ centred) / (resid @ resid), rel=1e-9)
+
+
 def test_vif_near_duplicate_is_large_but_finite():
-    rng = np.random.default_rng(73)
-    x = rng.normal(size=100)
-    noisy = x + rng.normal(scale=1e-4, size=100)
-    X = np.column_stack([np.ones(100), x, noisy, rng.normal(size=100)])
-    factors, _ = vif(make_design(X, np.zeros(100), names=["const", "a", "b", "c"]))
+    factors, _ = vif(near_duplicate(1e-4))
     assert factors["a"] > 10
     assert math.isfinite(factors["a"])
 
@@ -423,6 +490,17 @@ def test_vif_exact_duplicate_rank_deficient():
     X = np.column_stack([np.ones(10), x, x])
     with pytest.raises(RankDeficient):
         vif(make_design(X, np.zeros(10), names=["const", "a", "b"]))
+    # past the rank check, the inverse correlation matrix gives a: -1.7e20
+    # (noise 1e-9), -1.7e26 (1e-12), 2^51 (seed 3, whose correlation rounds to
+    # 1 - 2^-53) and no inverse at all (seed 1, a correlation of exactly 1)
+    for design in (near_duplicate(1e-9), near_duplicate(1e-12),
+                   near_duplicate(1e-13, seed=3, n=50, third=False),
+                   near_duplicate(1e-13, seed=1, n=50, third=False)):
+        with pytest.raises(RankDeficient, match="column a is exactly explained"):
+            vif(design)
+    constant = np.column_stack([np.ones(10), x, np.full(10, 3.0)])
+    with pytest.raises(RankDeficient, match="base regressors are exactly collinear"):
+        vif(make_design(constant, np.zeros(10), names=["const", "a", "b"]))
 
 
 def test_vif_matches_inverse_correlation_oracle():

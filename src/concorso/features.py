@@ -5,8 +5,8 @@ An applicant is eligible when they are an assistant professor hired at least
 competition to its eligible applicants, and ``extract_all`` gives a row to
 each of them. ``extract_features`` gives one competition's rows, as
 ``extract_all`` does for a corpus that holds that competition alone. Which
-competitions a bias audit compares is read from the rows, by
-``bias.aggregate_bias``.
+competitions a bias audit compares is read from the rows and the cohort
+medians, by ``bias.audit_set``.
 
 For every eligible applicant of a competition the extractor produces the
 outcome flag plus the connection and similarity signals used by the bias
